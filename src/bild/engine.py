@@ -189,18 +189,10 @@ def bild_decode(
         run.trace.append(Fallback(state.working_length(), reason))
         run.fallback_count += 1
         run.large_calls += 1
-        base_len = len(prompt) + len(state.committed)
-        working = prompt + state.tokens()
         k = len(state.pending)
         # k+1 distributions: one per pending position plus the next position,
         # all from a single parallel scoring pass over the working sequence.
-        scored = large.score_all(working) if working else []
-        dists: list[ProbDist] = []
-        for prefix_len in range(base_len, base_len + k + 1):
-            if prefix_len == 0:
-                dists.append(large.score_next([]))
-            else:
-                dists.append(scored[prefix_len - 1])
+        dists = large.score_range(prompt + state.tokens(), len(prompt) + len(state.committed))
         pending_tokens = [t for t, _ in state.pending]
         pending_dists = dists[:k]
         next_dist = dists[k]

@@ -69,9 +69,9 @@ def perplexity(model: LanguageModel, sequences: Sequence[Sequence[int]]) -> floa
     total_nll = 0.0
     total_tokens = 0
     for seq in sequences:
-        model.vocabulary.validate_sequence(seq)
-        for i, token in enumerate(seq):
-            dist = model.score_next(seq[:i])
+        # Element i of the range is the distribution after seq[:i]; the
+        # last one, after the whole sequence, pairs with no token.
+        for token, dist in zip(seq, model.score_range(seq, 0)):
             total_nll -= floored_log(dist[token])
             total_tokens += 1
     if total_tokens == 0:

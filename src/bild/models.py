@@ -1,14 +1,18 @@
 """The abstract language-model interface.
 
 A model is a pure function from a token prefix to a next-token
-distribution. ``score_next`` evaluates one position; ``score_all`` scores
-every position of a sequence in a single logical invocation, which is what
-lets a verifying model review many drafted tokens at the cost of one weight
-load. The two must agree exactly: the m-th element of ``score_all(y)`` is
-``score_next(y[:m])``.
+distribution. ``score_next`` evaluates one position; ``score_range`` scores
+a contiguous run of positions of one sequence in a single logical
+invocation, which is what lets a verifying model review many drafted tokens
+at the cost of one weight load. The two must agree exactly: element ``i``
+of ``score_range(y, start)`` is ``score_next(y[:start + i])``.
 
-``score_all`` deliberately excludes the empty-prefix distribution; callers
-that need the very first position use ``score_next([])``.
+``score_range`` covers every prefix length from ``start`` through
+``len(y)``, the empty prefix included when ``start`` is 0, so a verify of
+``k`` drafted tokens after a committed prefix of length ``b`` is the single
+call ``score_range(working, b)`` returning ``k + 1`` distributions. Only
+the positions asked for are scored, mirroring an incremental (KV-cached)
+verify. ``score_all(y)`` is ``score_range(y, 1)``: every non-empty prefix.
 """
 
 from __future__ import annotations
@@ -50,15 +54,22 @@ class LanguageModel(ABC):
     def score_next(self, prefix: Sequence[int]) -> ProbDist:
         """Next-token distribution conditioned on ``prefix`` (may be empty)."""
 
-    def score_all(self, sequence: Sequence[int]) -> list[ProbDist]:
-        """Next-token distributions after each prefix ``sequence[:m]``, m=1..n.
+    def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
+        """Distributions after each prefix ``sequence[:m]``, m=start..len(sequence).
 
-        Raises on an empty sequence; there is no position to score.
+        Returns ``len(sequence) - start + 1`` distributions. Raises when
+        ``start`` lies outside ``0..len(sequence)`` or a token is out of
+        range. Subclasses override this with a faster equivalent.
         """
-        if len(sequence) == 0:
-            raise InvalidInputError("score_all requires a non-empty sequence")
-        self.vocabulary.validate_sequence(sequence)
-        return [self.score_next(sequence[: m + 1]) for m in range(len(sequence))]
+        self._check_range(sequence, start)
+        return [self.score_next(sequence[:m]) for m in range(start, len(sequence) + 1)]
 
-    def _check_prefix(self, prefix: Sequence[int]) -> None:
-        self.vocabulary.validate_sequence(prefix)
+    def score_all(self, sequence: Sequence[int]) -> list[ProbDist]:
+        """Distributions after each non-empty prefix; raises on an empty sequence."""
+        return self.score_range(sequence, 1)
+
+    def _check_range(self, sequence: Sequence[int], start: int) -> None:
+        """Validate ``sequence`` once and require ``0 <= start <= len(sequence)``."""
+        if not isinstance(start, int) or not 0 <= start <= len(sequence):
+            raise InvalidInputError(f"start {start!r} outside 0..len(sequence) = 0..{len(sequence)}")
+        self.vocabulary.validate_sequence(sequence)

@@ -55,6 +55,10 @@ class PolicyConfig:
     verify_eos: bool = False
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha_fb) and math.isfinite(self.alpha_rb)):
+            raise InvalidInputError(
+                f"thresholds must be finite, got alpha_fb={self.alpha_fb!r}, alpha_rb={self.alpha_rb!r}"
+            )
         if self.alpha_fb < 0 or self.alpha_rb < 0:
             raise InvalidInputError("thresholds must be non-negative")
         if self.window_cap < 1:

@@ -89,15 +89,11 @@ def nucleus_support(probs: np.ndarray, p: float) -> list[int]:
     lowest id; tokens join the support until the cumulative mass reaches
     ``p`` (within a 1e-12 slack for float accumulation).
     """
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-    support: list[int] = []
-    mass = 0.0
-    for token in order:
-        support.append(token)
-        mass += float(probs[token])
-        if mass >= p - 1e-12:
-            break
-    return support
+    order = np.argsort(-probs, kind="stable")
+    # cumsum adds left to right, the same sums a running Python total makes
+    mass = np.cumsum(probs[order])
+    size = int(np.searchsorted(mass, p - 1e-12, side="left")) + 1
+    return order[:size].tolist()
 
 
 def _inverse_cdf(tokens: list[int], weights: np.ndarray, u: float) -> int:

@@ -118,14 +118,7 @@ def speculative_decode(
         run.trace.append(Fallback(len(committed) + d, WINDOW_CAP))
         run.fallback_count += 1
         run.large_calls += 1
-        working = base + [t for t, _ in drafted]
-        scored = large.score_all(working) if working else []
-        large_dists: list[ProbDist] = []
-        for prefix_len in range(len(base), len(base) + d + 1):
-            if prefix_len == 0:
-                large_dists.append(large.score_next([]))
-            else:
-                large_dists.append(scored[prefix_len - 1])
+        large_dists = large.score_range(base + [t for t, _ in drafted], len(base))
         first = len(committed)
         run.trace.append(
             LargeVerify(

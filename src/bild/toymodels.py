@@ -62,8 +62,12 @@ class TableLM(LanguageModel):
         return self._default_row
 
     def score_next(self, prefix: Sequence[int]) -> ProbDist:
-        self._check_prefix(prefix)
-        return self._rows.get(tuple(prefix), self._default_row)
+        return self.score_range(prefix, len(prefix))[0]
+
+    def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
+        self._check_range(sequence, start)
+        seq = tuple(sequence)
+        return [self._rows.get(seq[:m], self._default_row) for m in range(start, len(seq) + 1)]
 
 
 def load_table_lm(path: str | Path, vocabulary: Vocabulary) -> TableLM:
@@ -117,6 +121,13 @@ class NgramLM(LanguageModel):
     The conditional probability of token ``t`` after context ``c`` is
     ``(count(c, t) + smoothing) / (total(c) + smoothing * V)``. Contexts
     shorter than ``order - 1`` are padded on the left with ``BOS``.
+
+    Each context's observed counts are gathered into a sparse row the first
+    time the context is scored and kept, so the memo holds at most one row
+    per context in ``counts``; a context without counts is uniform and is
+    not stored. The memo never changes a result, so the model still
+    behaves as immutable. It pays off when a process scores the same
+    contexts again, as the decodes over a prompt file or a sweep grid do.
     """
 
     def __init__(
@@ -135,32 +146,63 @@ class NgramLM(LanguageModel):
         self.smoothing = float(smoothing)
         self.counts = dict(counts)
         self._context_totals: dict[tuple[int, ...], int] = {}
-        for (ctx, _), c in counts.items():
+        # Sparse (token ids, counts) row per context, built on first use.
+        self._sparse_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        v, width = vocabulary.size, order - 1
+        for (ctx, tok), c in counts.items():
             if c < 0:
                 raise InvalidInputError("counts must be non-negative")
-            self._context_totals[ctx] = self._context_totals.get(ctx, 0) + c
+            if not 0 <= tok < v:
+                raise InvalidInputError(f"n-gram token id {tok!r} out of range [0, {v})")
+            total = self._context_totals.get(ctx)
+            if total is None:  # first count of this context: check it once
+                if len(ctx) != width or (ctx and (min(ctx) < BOS or max(ctx) >= v)):
+                    raise InvalidInputError(
+                        f"n-gram context {ctx!r} must hold order - 1 = {width} ids, "
+                        f"each in [0, {v}) or BOS ({BOS})"
+                    )
+                total = 0
+            self._context_totals[ctx] = total + c
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
 
-    def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        """The (order-1)-token context for a prefix, BOS-padded on the left."""
-        if self.order == 1:
-            return ()
-        padded = [BOS] * (self.order - 1) + list(prefix)
-        return tuple(padded[-(self.order - 1) :])
-
     def score_next(self, prefix: Sequence[int]) -> ProbDist:
-        self._check_prefix(prefix)
-        ctx = self.context_of(prefix)
+        return self.score_range(prefix, len(prefix))[0]
+
+    def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
+        self._check_range(sequence, start)
+        width = self.order - 1
+        padded = (BOS,) * width + tuple(sequence)
+        # The context of prefix sequence[:m] is padded[m : m + width].
+        return [self._row(padded[m : m + width]) for m in range(start, len(sequence) + 1)]
+
+    def _row(self, ctx: tuple[int, ...]) -> ProbDist:
+        """The smoothed distribution after ``ctx``: unseen tokens share one value."""
         v = self._vocabulary.size
-        total = self._context_totals.get(ctx, 0)
+        total = self._context_totals.get(ctx)
+        if total is None:  # no counts: uniform
+            return ProbDist(np.full(v, self.smoothing / (self.smoothing * v)))
+        sparse = self._sparse_rows.get(ctx)
+        if sparse is None:
+            sparse = self._sparse_rows[ctx] = self._sparse_row(ctx)
+        ids, counts = sparse
         denom = total + self.smoothing * v
-        probs = np.array(
-            [(self.counts.get((ctx, t), 0) + self.smoothing) / denom for t in range(v)]
-        )
+        probs = np.full(v, self.smoothing / denom)
+        probs[ids] = (counts + self.smoothing) / denom
         return ProbDist(probs)
+
+    def _sparse_row(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and counts of the tokens observed after ``ctx``."""
+        ids: list[int] = []
+        counts: list[int] = []
+        for t in range(self._vocabulary.size):
+            c = self.counts.get((ctx, t))
+            if c is not None:
+                ids.append(t)
+                counts.append(c)
+        return np.array(ids, dtype=np.intp), np.array(counts, dtype=np.int64)
 
     def to_json_dict(self) -> dict:
         counts = sorted((list(ctx), tok, c) for (ctx, tok), c in self.counts.items())

@@ -35,7 +35,11 @@ class Vocabulary:
             raise InvalidInputError("token symbol list must match vocabulary size")
 
     def validate_token(self, token: int) -> None:
-        if not isinstance(token, (int,)) or not 0 <= token < self.size:
+        if not isinstance(token, int):
+            raise InvalidInputError(
+                f"token id {token!r} has type {type(token).__module__}.{type(token).__qualname__}, not int"
+            )
+        if not 0 <= token < self.size:
             raise InvalidInputError(f"token id {token!r} out of range [0, {self.size})")
 
     def validate_sequence(self, tokens: Iterable[int]) -> None:

@@ -149,6 +149,11 @@ def test_config_validation():
         PolicyConfig(alpha_fb=-0.1, alpha_rb=1.0)
     with pytest.raises(InvalidInputError):
         PolicyConfig(alpha_fb=0.5, alpha_rb=1.0, window_cap=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PolicyConfig(alpha_fb=bad, alpha_rb=1.0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            PolicyConfig(alpha_fb=0.5, alpha_rb=bad)
     with pytest.raises(InvalidInputError):
         PolicyConfig(alpha_fb=0.5, alpha_rb=1.0, fallback_mode="fixed_window")
 

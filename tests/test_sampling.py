@@ -75,6 +75,49 @@ def test_nucleus_support_minimality(weights, p):
         assert float(arr[support[:-1]].sum()) < p
 
 
+def _reference_nucleus_support(probs, p):
+    """The sorted-list construction: rank by (-prob, id), add until mass >= p."""
+    support, mass = [], 0.0
+    for token in sorted(range(len(probs)), key=lambda i: (-probs[i], i)):
+        support.append(token)
+        mass += float(probs[token])
+        if mass >= p - 1e-12:
+            break
+    return support
+
+
+@st.composite
+def tied_rows(draw):
+    """Probability rows with ties: uniform, one-hot, or a few repeated values."""
+    size = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["uniform", "one_hot", "repeated"]))
+    if kind == "uniform":
+        return np.full(size, 1.0 / size)
+    if kind == "one_hot":
+        row = np.zeros(size)
+        row[draw(st.integers(0, size - 1))] = 1.0
+        return row
+    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=size, max_size=size))
+    row = np.array(levels) if sum(levels) > 0 else np.ones(size)
+    return row / row.sum()
+
+
+@given(probs=tied_rows(), p=st.sampled_from([1e-3, 0.25, 0.5, 0.9, 1.0]))
+def test_nucleus_support_matches_sorted_reference_on_ties(probs, p):
+    assert nucleus_support(probs, p) == _reference_nucleus_support(probs, p)
+
+
+@given(
+    weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16).filter(
+        lambda w: sum(w) > 0
+    ),
+    p=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_nucleus_support_matches_sorted_reference(weights, p):
+    arr = np.array(weights) / sum(weights)
+    assert nucleus_support(arr, p) == _reference_nucleus_support(arr, p)
+
+
 def test_temperature_one_matches_distribution_within_tvd():
     target = [0.5, 0.3, 0.2]
     rng = random.Random(1234)

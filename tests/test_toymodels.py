@@ -95,6 +95,23 @@ def test_ngram_json_roundtrip(tmp_path, vocab3):
         assert np.array_equal(loaded.score_next(prefix).probs, model.score_next(prefix).probs)
 
 
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ([[[A], 5, 1]], "token id 5"),  # token outside the size-3 vocabulary
+        ([[[A], BOS, 1]], "token id -1"),  # BOS is never predicted
+        ([[[7], A, 1]], "context"),  # context id outside the vocabulary
+        ([[[-2], A, 1]], "context"),
+        ([[[A, B], A, 1]], "context"),  # bigram contexts hold one id
+        ([[[], A, 1]], "context"),
+    ],
+)
+def test_ngram_document_rejects_bad_counts_at_load(counts, match):
+    doc = {"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts}
+    with pytest.raises(InvalidInputError, match=match):
+        NgramLM.from_json_dict(doc)
+
+
 # corpus generation
 
 
