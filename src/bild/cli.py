@@ -27,7 +27,14 @@ from .costmodel import (
     synthesize_rate_trace,
     tally_trace,
 )
-from .engine import ablation_decode, bild_decode, oracle_blend_decode, vanilla_decode
+from .engine import (
+    FIXED_WINDOW_VARIANT,
+    NO_ROLLBACK,
+    ablation_decode,
+    bild_decode,
+    oracle_blend_decode,
+    vanilla_decode,
+)
 from .errors import BildError, ConfigurationError, VocabularyMismatchError
 from .metrics import RunSummary, summarize, summary_csv_header, summary_csv_row
 from .models import LanguageModel
@@ -38,15 +45,45 @@ from .toymodels import NgramLM, align_small, fit_ngram, load_table_lm
 from .trace import DecodeResult, load_trace
 from .vocab import load_corpus, load_vocabulary
 
-STRATEGIES = (
-    "bild",
-    "vanilla_small",
-    "vanilla_large",
-    "speculative",
-    "oracle_blend",
-    "ablation_no_rollback",
-    "ablation_fixed_window",
-)
+# strategy -> runner(experiment, prompt, sampler, policy). Each runner looks
+# its decode function up in this module when called, so rebinding a
+# ``cli.*_decode`` name (as instrumentation does) reaches every strategy.
+_RUNNERS = {
+    "bild": lambda exp, prompt, sampler, policy: bild_decode(
+        exp.small, exp.large, policy, sampler, prompt, exp.max_len
+    ),
+    "vanilla_small": lambda exp, prompt, sampler, policy: vanilla_decode(
+        exp.small, prompt, sampler, exp.max_len
+    ),
+    "vanilla_large": lambda exp, prompt, sampler, policy: vanilla_decode(
+        exp.large, prompt, sampler, exp.max_len
+    ),
+    "speculative": lambda exp, prompt, sampler, policy: speculative_decode(
+        exp.small,
+        exp.large,
+        SpecConfig(window=exp.speculative_window, seed=sampler.seed),
+        prompt,
+        exp.max_len,
+        draft_sampler=sampler if sampler.is_stochastic else Sampler.greedy(),
+    ),
+    "oracle_blend": lambda exp, prompt, sampler, policy: oracle_blend_decode(
+        exp.small, exp.large, exp.blend_threshold, sampler, prompt, exp.max_len
+    )[0],
+    "ablation_no_rollback": lambda exp, prompt, sampler, policy: ablation_decode(
+        NO_ROLLBACK, exp.small, exp.large, policy, sampler, prompt, exp.max_len
+    ),
+    "ablation_fixed_window": lambda exp, prompt, sampler, policy: ablation_decode(
+        FIXED_WINDOW_VARIANT,
+        exp.small,
+        exp.large,
+        policy,
+        sampler,
+        prompt,
+        exp.max_len,
+        k=exp.fixed_window_k,
+    ),
+}
+STRATEGIES = tuple(_RUNNERS)
 
 DEFAULT_ALPHA_FB_GRID = [0.5, 0.6, 0.7, 0.8, 0.9]
 DEFAULT_ALPHA_RB_GRID = [1.0, 2.0, 5.0, 10.0]
@@ -152,44 +189,10 @@ class Experiment:
         seed: int,
         policy: PolicyConfig | None = None,
     ) -> DecodeResult:
-        policy = policy or self.policy
+        if strategy not in _RUNNERS:
+            raise ConfigurationError(f"unknown strategy {strategy!r}")
         sampler = replace(self.sampler, seed=seed)
-        if strategy == "bild":
-            return bild_decode(self.small, self.large, policy, sampler, prompt, self.max_len)
-        if strategy == "vanilla_small":
-            return vanilla_decode(self.small, prompt, sampler, self.max_len)
-        if strategy == "vanilla_large":
-            return vanilla_decode(self.large, prompt, sampler, self.max_len)
-        if strategy == "speculative":
-            return speculative_decode(
-                self.small,
-                self.large,
-                SpecConfig(window=self.speculative_window, seed=seed),
-                prompt,
-                self.max_len,
-                draft_sampler=sampler if sampler.is_stochastic else Sampler.greedy(),
-            )
-        if strategy == "oracle_blend":
-            result, _ = oracle_blend_decode(
-                self.small, self.large, self.blend_threshold, sampler, prompt, self.max_len
-            )
-            return result
-        if strategy == "ablation_no_rollback":
-            return ablation_decode(
-                "no_rollback", self.small, self.large, policy, sampler, prompt, self.max_len
-            )
-        if strategy == "ablation_fixed_window":
-            return ablation_decode(
-                "fixed_window",
-                self.small,
-                self.large,
-                policy,
-                sampler,
-                prompt,
-                self.max_len,
-                k=self.fixed_window_k,
-            )
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
+        return _RUNNERS[strategy](self, prompt, sampler, policy or self.policy)
 
     def reference(self, prompt: Sequence[int], seed: int) -> list[int]:
         """Quality-proxy reference: the large model decoding alone."""

@@ -23,17 +23,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidInputError, InvalidTraceError
+from .errors import InvalidInputError
 from .trace import (
     LOW_CONFIDENCE,
-    Eos,
     Fallback,
     LargeAppend,
     LargeVerify,
-    Rejection,
     Rollback,
     SmallStep,
     TraceEvent,
+    walk_trace,
 )
 
 
@@ -207,45 +206,15 @@ def tally_trace(
     """
     seq_len = 0
     tally = WorkloadTally()
-    for event in trace:
+    for event, seq_len in walk_trace(trace):
         if isinstance(event, SmallStep):
-            if event.position != seq_len:
-                raise InvalidTraceError(
-                    f"draft at position {event.position}, expected {seq_len}"
-                )
-            tally = tally + step_cost(small_desc, prompt_len + seq_len, 1)
-            seq_len += 1
+            tally = tally + step_cost(small_desc, prompt_len + event.position, 1)
         elif isinstance(event, Fallback):
-            if event.position != seq_len:
-                raise InvalidTraceError(
-                    f"fallback at position {event.position}, expected {seq_len}"
-                )
             if event.reason == LOW_CONFIDENCE:
-                tally = tally + step_cost(small_desc, prompt_len + seq_len, 1)
+                tally = tally + step_cost(small_desc, prompt_len + event.position, 1)
         elif isinstance(event, LargeVerify):
             k = len(event.positions)
-            if k:
-                expected = tuple(range(seq_len - k, seq_len))
-                if tuple(event.positions) != expected:
-                    raise InvalidTraceError(
-                        f"verify positions {event.positions}, expected {expected}"
-                    )
-            base = seq_len - k
-            tally = tally + step_cost(large_desc, prompt_len + base, k + 1)
-        elif isinstance(event, (Rollback, Rejection)):
-            if not 0 <= event.position < seq_len:
-                raise InvalidTraceError(f"rollback position {event.position} out of range")
-            if event.tokens_discarded != seq_len - event.position:
-                raise InvalidTraceError("rollback discard count inconsistent with position")
-            seq_len = event.position + 1
-        elif isinstance(event, LargeAppend):
-            if event.position != seq_len:
-                raise InvalidTraceError(
-                    f"append at position {event.position}, expected {seq_len}"
-                )
-            seq_len += 1
-        elif isinstance(event, Eos):
-            pass
+            tally = tally + step_cost(large_desc, prompt_len + seq_len - k, k + 1)
 
     final_len = seq_len if max_len is None else min(seq_len, max_len)
     vanilla = WorkloadTally()

@@ -1,18 +1,20 @@
 """Decode loops: vanilla autoregressive, collaborative small/large, oracle
 blend, and the ablation variants.
 
-The collaborative loop (``bild_decode``) lets the small model draft tokens
-autoregressively until it loses confidence or hits the window cap, then
-hands control to the large model, which scores every drafted position plus
-the next one in a single parallel call. Drafts that diverge too far from
-the large model's judgment are rolled back from the first offending
-position; otherwise the drafts are committed and the large model appends
-one token from the distribution it already computed.
+One draft→verify→resolve loop (``_collaborate``) serves BiLD and
+speculative decoding. The small model drafts until a stop rule fires (a
+draft cap, or a fallback predicate on its distribution), then the large
+model scores every drafted position plus the next one in a single parallel
+call. An acceptance rule keeps a prefix of the drafts, and a draw rule
+commits one large-model token: a replacement where drafts were discarded,
+otherwise a bonus token. ``bild_decode`` passes the confidence fallback and
+the rollback rule; ``speculative.speculative_decode`` passes a fixed window
+and the rejection test.
 
-Randomness: each decode run owns one ``random.Random`` seeded from the
-sampler. Draws are consumed in generation order: one per stochastic draft,
-one per rollback replacement, one per large append. Greedy runs consume no
-randomness.
+Randomness: each decode run owns one ``random.Random``, seeded from the
+sampler here. Draws are consumed in generation order: one per stochastic
+draft, one per rollback replacement, one per large append. Greedy runs
+consume no randomness.
 
 Budget semantics: drafting is bounded by the window cap, not by
 ``max_len``; the final sequence is truncated to ``max_len`` after the run.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dist import ProbDist
 from .errors import InvalidInputError, VocabularyMismatchError
@@ -65,12 +67,6 @@ class GenerationState:
     committed: list[tuple[int, str]] = field(default_factory=list)
     pending: list[tuple[int, ProbDist]] = field(default_factory=list)
 
-    @property
-    def steps_since_fallback(self) -> int:
-        # Drafts accumulate only between handovers, so the pending length
-        # is exactly the number of small steps since the last fallback.
-        return len(self.pending)
-
     def working_length(self) -> int:
         return len(self.committed) + len(self.pending)
 
@@ -95,9 +91,8 @@ def _validate_run_args(model: LanguageModel, prompt: Sequence[int], max_len: int
 class _Run:
     """Mutable bookkeeping shared by the decode loops."""
 
-    def __init__(self, sampler: Sampler) -> None:
-        self.rng = random.Random(sampler.seed)
-        self.sampler = sampler
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
         self.trace: list[TraceEvent] = []
         self.fallback_count = 0
         self.rollback_count = 0
@@ -144,7 +139,7 @@ def vanilla_decode(
     """Plain autoregressive decoding: one model call per emitted token."""
     _validate_run_args(model, prompt, max_len)
     eos = model.vocabulary.eos
-    run = _Run(sampler)
+    run = _Run(sampler.seed)
     committed: list[tuple[int, str]] = []
     context = list(prompt)
     while len(committed) < max_len:
@@ -159,6 +154,96 @@ def vanilla_decode(
     return run.finalize(committed, eos, max_len)
 
 
+def _collaborate(
+    small: LanguageModel,
+    large: LanguageModel,
+    prompt: Sequence[int],
+    max_len: int,
+    sampler: Sampler,
+    seed: int,
+    *,
+    draft_cap: int,
+    fallback: Callable[[ProbDist], bool] | None,
+    eos_reason: str | None,
+    accept: Callable[..., int],
+    draw: Callable[..., int],
+    undo: type[Rollback],
+    extras: dict | None = None,
+) -> DecodeResult:
+    """Draft with ``sampler``, verify with one ``large.score_range`` call, resolve.
+
+    A handover happens with reason ``WINDOW_CAP`` once ``draft_cap`` drafts
+    are pending, ``LOW_CONFIDENCE`` when ``fallback(small_dist)`` holds, and
+    ``eos_reason`` right after a drafted end-of-sequence (``None`` commits
+    the drafts unverified). Given the k drafts ``pending`` as (token, dist)
+    pairs and the k+1 large ``dists``, ``accept(pending, dists, rng)`` is the
+    number m of drafts kept and ``draw(pending, dists, m, rng)`` the large
+    token at position m: a replacement (an ``undo`` event) when m < k, the
+    bonus token when m == k.
+    """
+    _require_shared_vocabulary(small, large)
+    _validate_run_args(small, prompt, max_len)
+    eos = small.vocabulary.eos
+    run = _Run(seed)
+    state = GenerationState()
+    prompt = list(prompt)
+
+    def handover(reason: str) -> None:
+        run.trace.append(Fallback(state.working_length(), reason))
+        run.fallback_count += 1
+        run.large_calls += 1
+        pending = state.pending
+        k = len(pending)
+        first = len(state.committed)
+        # k+1 distributions: one per pending position plus the next position,
+        # all from a single parallel scoring pass over the working sequence.
+        dists = large.score_range(prompt + state.tokens(), len(prompt) + first)
+        run.trace.append(
+            LargeVerify(
+                positions=tuple(range(first, first + k)),
+                distances=tuple(distance(t, d) for (t, _), d in zip(pending, dists)),
+            )
+        )
+        m = accept(pending, dists, run.rng)
+        state.committed.extend((token, SMALL) for token, _ in pending[:m])
+        if m < k:
+            replacement = draw(pending, dists, m, run.rng)
+            run.trace.append(undo(len(state.committed), k - m, replacement))
+            state.committed.append((replacement, LARGE))
+            run.rollback_count += 1
+            run.tokens_discarded += k - m
+        elif not (state.committed and state.committed[-1][0] == eos):
+            token = draw(pending, dists, k, run.rng)
+            run.trace.append(LargeAppend(len(state.committed), token))
+            state.committed.append((token, LARGE))
+        pending.clear()
+
+    while True:
+        if state.committed and state.committed[-1][0] == eos:
+            break
+        if len(state.committed) >= max_len:
+            break
+        if len(state.pending) >= draft_cap:
+            handover(WINDOW_CAP)
+            continue
+        small_dist = small.score_next(prompt + state.tokens())
+        run.small_calls += 1
+        if fallback is not None and fallback(small_dist):
+            handover(LOW_CONFIDENCE)
+            continue
+        token = sample(small_dist, sampler, run.rng)
+        run.trace.append(SmallStep(state.working_length(), token, small_dist.max_prob()))
+        state.pending.append((token, small_dist))
+        if token == eos:
+            if eos_reason is not None:
+                handover(eos_reason)
+            else:
+                state.committed.extend((tok, SMALL) for tok, _ in state.pending)
+                state.pending.clear()
+
+    return run.finalize(state.committed, eos, max_len, extras)
+
+
 def bild_decode(
     small: LanguageModel,
     large: LanguageModel,
@@ -169,83 +254,32 @@ def bild_decode(
 ) -> DecodeResult:
     """Collaborative decode: small model drafts, large model verifies.
 
-    Each loop iteration either drafts one small-model token or performs a
-    handover (fallback), in which the large model scores all pending
-    drafted positions plus the next position in one parallel call. A
-    rollback discards drafts from the first position whose distance
-    exceeds the threshold and commits the large model's replacement there;
-    otherwise all drafts are committed and the large model appends one
-    token. A confidently drafted end-of-sequence token terminates the run
-    without a final verification unless ``config.verify_eos`` is set.
+    The small model drafts until its max probability falls below
+    ``alpha_fb`` (confidence mode) or ``config.draft_cap`` drafts are
+    pending. A rollback discards drafts from the first position whose
+    distance exceeds ``alpha_rb`` and commits the large model's replacement
+    there; otherwise the large model appends one token. A drafted
+    end-of-sequence token ends the run unverified unless
+    ``config.verify_eos`` is set.
     """
-    _require_shared_vocabulary(small, large)
-    _validate_run_args(small, prompt, max_len)
-    eos = small.vocabulary.eos
-    run = _Run(sampler)
-    state = GenerationState()
-    prompt = list(prompt)
 
-    def handover(reason: str) -> None:
-        run.trace.append(Fallback(state.working_length(), reason))
-        run.fallback_count += 1
-        run.large_calls += 1
-        k = len(state.pending)
-        # k+1 distributions: one per pending position plus the next position,
-        # all from a single parallel scoring pass over the working sequence.
-        dists = large.score_range(prompt + state.tokens(), len(prompt) + len(state.committed))
-        pending_tokens = [t for t, _ in state.pending]
-        pending_dists = dists[:k]
-        next_dist = dists[k]
-        first = len(state.committed)
-        run.trace.append(
-            LargeVerify(
-                positions=tuple(range(first, first + k)),
-                distances=tuple(distance(t, d) for t, d in zip(pending_tokens, pending_dists)),
-            )
-        )
-        m = find_rollback_position(pending_tokens, pending_dists, config)
-        if m is not None:
-            for token, _ in state.pending[:m]:
-                state.committed.append((token, SMALL))
-            replacement = sample(pending_dists[m], sampler, run.rng)
-            run.trace.append(Rollback(len(state.committed), k - m, replacement))
-            state.committed.append((replacement, LARGE))
-            run.rollback_count += 1
-            run.tokens_discarded += k - m
-        else:
-            for token, _ in state.pending:
-                state.committed.append((token, SMALL))
-            if not (state.committed and state.committed[-1][0] == eos):
-                token = sample(next_dist, sampler, run.rng)
-                run.trace.append(LargeAppend(len(state.committed), token))
-                state.committed.append((token, LARGE))
-        state.pending.clear()
+    # The rules look ``should_fallback``, ``find_rollback_position`` and
+    # ``sample`` up in this module at call time, so instrumentation that
+    # rebinds those names sees every call.
+    def keep(pending, dists, rng) -> int:
+        m = find_rollback_position([t for t, _ in pending], dists[:-1], config)
+        return len(pending) if m is None else m
 
-    while True:
-        if state.committed and state.committed[-1][0] == eos:
-            break
-        if len(state.committed) >= max_len:
-            break
-        if state.pending and len(state.pending) >= config.draft_cap:
-            handover(WINDOW_CAP)
-            continue
-        small_dist = small.score_next(prompt + state.tokens())
-        run.small_calls += 1
-        if config.fallback_mode == CONFIDENCE and should_fallback(small_dist, config):
-            handover(LOW_CONFIDENCE)
-            continue
-        token = sample(small_dist, sampler, run.rng)
-        run.trace.append(SmallStep(state.working_length(), token, small_dist.max_prob()))
-        state.pending.append((token, small_dist))
-        if token == eos:
-            if config.verify_eos:
-                handover(FORCED)
-            else:
-                for tok, _ in state.pending:
-                    state.committed.append((tok, SMALL))
-                state.pending.clear()
-
-    return run.finalize(state.committed, eos, max_len)
+    confidence = config.fallback_mode == CONFIDENCE
+    return _collaborate(
+        small, large, prompt, max_len, sampler, sampler.seed,
+        draft_cap=config.draft_cap,
+        fallback=(lambda dist: should_fallback(dist, config)) if confidence else None,
+        eos_reason=FORCED if config.verify_eos else None,
+        accept=keep,
+        draw=lambda pending, dists, m, rng: sample(dists[m], sampler, rng),
+        undo=Rollback,
+    )
 
 
 def oracle_blend_decode(
@@ -268,7 +302,7 @@ def oracle_blend_decode(
     _require_shared_vocabulary(small, large)
     _validate_run_args(small, prompt, max_len)
     eos = small.vocabulary.eos
-    run = _Run(sampler)
+    run = _Run(sampler.seed)
     committed: list[tuple[int, str]] = []
     context = list(prompt)
     replaced = 0

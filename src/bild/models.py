@@ -18,14 +18,11 @@ verify. ``score_all(y)`` is ``score_range(y, 1)``: every non-empty prefix.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .dist import ProbDist
 from .errors import InvalidInputError
 from .vocab import Vocabulary
-
-if TYPE_CHECKING:
-    from .costmodel import ModelDescriptor
 
 
 class LanguageModel(ABC):
@@ -40,15 +37,6 @@ class LanguageModel(ABC):
     @abstractmethod
     def vocabulary(self) -> Vocabulary:
         ...
-
-    @property
-    def descriptor(self) -> "ModelDescriptor | None":
-        """Shape parameters for cost accounting, when attached."""
-        return getattr(self, "_descriptor", None)
-
-    def with_descriptor(self, descriptor: "ModelDescriptor") -> "LanguageModel":
-        self._descriptor = descriptor
-        return self
 
     @abstractmethod
     def score_next(self, prefix: Sequence[int]) -> ProbDist:

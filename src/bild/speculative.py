@@ -15,6 +15,11 @@ uniform per acceptance test, one draw for the residual replacement or the
 bonus token. Replacement and bonus draws always come from their
 distributions directly (inverse CDF); the configurable sampler shapes only
 the drafts, and greedy drafting makes the output biased.
+
+The draft→verify→resolve loop is ``engine._collaborate``; this module
+supplies its rules: a fixed window, a drafted end-of-sequence verified like
+a full window (``WINDOW_CAP``), the acceptance test and the residual or
+bonus draw.
 """
 
 from __future__ import annotations
@@ -26,22 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .dist import PROB_FLOOR, ProbDist
-from .engine import _require_shared_vocabulary, _validate_run_args, _Run
+from .engine import _collaborate
 from .errors import InvalidInputError
 from .models import LanguageModel
-from .policies import distance
-from .sampling import Sampler, multinomial, sample
-from .trace import (
-    LARGE,
-    SMALL,
-    WINDOW_CAP,
-    DecodeResult,
-    Fallback,
-    LargeAppend,
-    LargeVerify,
-    Rejection,
-    SmallStep,
-)
+from .sampling import Sampler, multinomial
+from .trace import WINDOW_CAP, DecodeResult, Rejection
+
+# Drafts are sampled and verify distances computed inside ``engine``. These
+# names stay importable here because ``perfbench``'s traced run rebinds them.
+from .policies import distance  # noqa: F401
+from .sampling import sample  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,77 +84,35 @@ def speculative_decode(
     an unbiased sample of the large model. The run's generator is seeded
     from ``config.seed``.
     """
-    _require_shared_vocabulary(small, large)
-    _validate_run_args(small, prompt, max_len)
     if draft_sampler is None:
         draft_sampler = Sampler.temperature(1.0, seed=config.seed)
-    eos = small.vocabulary.eos
-    run = _Run(draft_sampler)
-    run.rng = random.Random(config.seed)
-    committed: list[tuple[int, str]] = []
-    prompt = list(prompt)
+    return _collaborate(
+        small, large, prompt, max_len, draft_sampler, config.seed,
+        draft_cap=config.window,
+        fallback=None,
+        eos_reason=WINDOW_CAP,
+        accept=_accepted_prefix,
+        draw=_draw_large,
+        undo=Rejection,
+        extras={"greedy_draft_biased": True} if draft_sampler.kind == "greedy" else None,
+    )
 
-    while len(committed) < max_len:
-        if committed and committed[-1][0] == eos:
-            break
-        base = prompt + [t for t, _ in committed]
-        # Draft up to `window` tokens, stopping early at end-of-sequence.
-        drafted: list[tuple[int, ProbDist]] = []
-        context = list(base)
-        for _ in range(config.window):
-            dist = small.score_next(context)
-            run.small_calls += 1
-            token = sample(dist, draft_sampler, run.rng)
-            run.trace.append(
-                SmallStep(len(committed) + len(drafted), token, dist.max_prob())
-            )
-            drafted.append((token, dist))
-            context.append(token)
-            if token == eos:
-                break
 
-        d = len(drafted)
-        run.trace.append(Fallback(len(committed) + d, WINDOW_CAP))
-        run.fallback_count += 1
-        run.large_calls += 1
-        large_dists = large.score_range(base + [t for t, _ in drafted], len(base))
-        first = len(committed)
-        run.trace.append(
-            LargeVerify(
-                positions=tuple(range(first, first + d)),
-                distances=tuple(
-                    distance(t, ld) for (t, _), ld in zip(drafted, large_dists)
-                ),
-            )
-        )
+def _accepted_prefix(
+    drafted: list[tuple[int, ProbDist]], large_dists: list[ProbDist], rng: random.Random
+) -> int:
+    """Drafts kept: test each with probability ``min(1, p_L(t) / p_S(t))``."""
+    for i, (token, small_dist) in enumerate(drafted):
+        ratio = min(1.0, large_dists[i][token] / max(small_dist[token], PROB_FLOOR))
+        if not rng.random() < ratio:
+            return i
+    return len(drafted)
 
-        rejected_at: int | None = None
-        for i, (token, small_dist) in enumerate(drafted):
-            ratio = min(
-                1.0, large_dists[i][token] / max(small_dist[token], PROB_FLOOR)
-            )
-            if run.rng.random() < ratio:
-                committed.append((token, SMALL))
-            else:
-                rejected_at = i
-                break
 
-        if rejected_at is not None:
-            replacement = multinomial(
-                residual_dist(large_dists[rejected_at], drafted[rejected_at][1]), run.rng
-            )
-            run.trace.append(
-                Rejection(len(committed), d - rejected_at, replacement)
-            )
-            committed.append((replacement, LARGE))
-            run.rollback_count += 1
-            run.tokens_discarded += d - rejected_at
-        elif not (committed and committed[-1][0] == eos):
-            bonus = multinomial(large_dists[d], run.rng)
-            run.trace.append(LargeAppend(len(committed), bonus))
-            committed.append((bonus, LARGE))
-
-    extras = {}
-    if draft_sampler.kind == "greedy":
-        extras["greedy_draft_biased"] = True
-    return run.finalize(committed, eos, max_len, extras=extras)
+def _draw_large(
+    drafted: list[tuple[int, ProbDist]], large_dists: list[ProbDist], m: int, rng: random.Random
+) -> int:
+    """The residual resample at a rejected draft, or the bonus token after all."""
+    if m < len(drafted):
+        return multinomial(residual_dist(large_dists[m], drafted[m][1]), rng)
+    return multinomial(large_dists[m], rng)

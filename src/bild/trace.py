@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidTraceError
 
@@ -68,12 +68,12 @@ class Rollback:
 
 
 @dataclass(frozen=True)
-class Rejection:
-    """Speculative-decoding analog of ``Rollback`` (stochastic rejection)."""
+class Rejection(Rollback):
+    """Speculative-decoding analog of ``Rollback`` (stochastic rejection).
 
-    position: int
-    tokens_discarded: int
-    replacement: int
+    It carries the same fields and serializes under its own tag; the two
+    never compare equal.
+    """
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def event_to_json_dict(event: TraceEvent) -> dict:
         out.update(position=event.position, reason=event.reason)
     elif isinstance(event, LargeVerify):
         out.update(positions=list(event.positions), distances=list(event.distances))
-    elif isinstance(event, (Rollback, Rejection)):
+    elif isinstance(event, Rollback):
         out.update(
             position=event.position,
             tokens_discarded=event.tokens_discarded,
@@ -127,26 +127,32 @@ def event_to_json_dict(event: TraceEvent) -> dict:
 
 
 def event_from_json_dict(data: dict) -> TraceEvent:
+    """Parse one event; raises ``InvalidTraceError`` on any malformed document."""
+    if not isinstance(data, dict):
+        raise InvalidTraceError(f"trace event must be a JSON object, got {type(data).__name__}")
     tag = data.get("event")
-    if tag not in _TAG_TYPES:
+    if not isinstance(tag, str) or tag not in _TAG_TYPES:
         raise InvalidTraceError(f"unknown trace event tag {tag!r}")
     typ = _TAG_TYPES[tag]
-    if typ is SmallStep:
-        return SmallStep(int(data["position"]), int(data["token"]), float(data["max_prob"]))
-    if typ is Fallback:
-        return Fallback(int(data["position"]), str(data["reason"]))
-    if typ is LargeVerify:
-        return LargeVerify(
-            tuple(int(p) for p in data["positions"]),
-            tuple(float(d) for d in data["distances"]),
-        )
-    if typ is Rollback:
-        return Rollback(int(data["position"]), int(data["tokens_discarded"]), int(data["replacement"]))
-    if typ is Rejection:
-        return Rejection(int(data["position"]), int(data["tokens_discarded"]), int(data["replacement"]))
-    if typ is LargeAppend:
-        return LargeAppend(int(data["position"]), int(data["token"]))
-    return Eos(int(data["position"]))
+    try:
+        if typ is SmallStep:
+            return SmallStep(int(data["position"]), int(data["token"]), float(data["max_prob"]))
+        if typ is Fallback:
+            return Fallback(int(data["position"]), str(data["reason"]))
+        if typ is LargeVerify:
+            return LargeVerify(
+                tuple(int(p) for p in data["positions"]),
+                tuple(float(d) for d in data["distances"]),
+            )
+        if issubclass(typ, Rollback):
+            return typ(int(data["position"]), int(data["tokens_discarded"]), int(data["replacement"]))
+        if typ is LargeAppend:
+            return LargeAppend(int(data["position"]), int(data["token"]))
+        return Eos(int(data["position"]))
+    except KeyError as e:
+        raise InvalidTraceError(f"{tag} event lacks field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise InvalidTraceError(f"{tag} event has a malformed field: {e}") from None
 
 
 def save_trace(trace: Iterable[TraceEvent], path: str | Path) -> None:
@@ -155,11 +161,53 @@ def save_trace(trace: Iterable[TraceEvent], path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> list[TraceEvent]:
+    """Read a JSONL trace; a malformed line raises ``InvalidTraceError`` naming ``path:line``."""
     events = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if line.strip():
-            events.append(event_from_json_dict(json.loads(line)))
+            try:
+                events.append(event_from_json_dict(json.loads(line)))
+            except (json.JSONDecodeError, InvalidTraceError) as e:
+                raise InvalidTraceError(f"{path}:{lineno}: {e}") from None
     return events
+
+
+def walk_trace(trace: Iterable[TraceEvent]) -> Iterator[tuple[TraceEvent, int]]:
+    """Yield each event with the working-sequence length after it.
+
+    Checks every positional event against that length: drafts, fallbacks
+    and appends sit at the current end, a verify covers the last k
+    positions, a rollback or rejection discards exactly the tail from its
+    position, and an end-of-sequence lies inside the sequence. Raises
+    ``InvalidTraceError`` at the first inconsistent event.
+    """
+    length = 0
+    for event in trace:
+        if isinstance(event, SmallStep):
+            if event.position != length:
+                raise InvalidTraceError(f"draft at position {event.position}, expected {length}")
+            length += 1
+        elif isinstance(event, Fallback):
+            if event.position != length:
+                raise InvalidTraceError(f"fallback at position {event.position}, expected {length}")
+        elif isinstance(event, LargeVerify):
+            expected = tuple(range(length - len(event.positions), length))
+            if tuple(event.positions) != expected:
+                raise InvalidTraceError(f"verify positions {event.positions}, expected {expected}")
+        elif isinstance(event, Rollback):
+            if not 0 <= event.position < length:
+                raise InvalidTraceError(f"rollback position {event.position} out of range")
+            if event.tokens_discarded != length - event.position:
+                raise InvalidTraceError("rollback discard count inconsistent with position")
+            length = event.position + 1
+        elif isinstance(event, LargeAppend):
+            if event.position != length:
+                raise InvalidTraceError(f"append at position {event.position}, expected {length}")
+            length += 1
+        elif isinstance(event, Eos):
+            if not 0 <= event.position < length:
+                raise InvalidTraceError(f"end-of-sequence position {event.position} out of range")
+        yield event, length
 
 
 def replay_trace(trace: Sequence[TraceEvent], max_len: int | None = None) -> list[int]:
@@ -171,26 +219,12 @@ def replay_trace(trace: Sequence[TraceEvent], max_len: int | None = None) -> lis
     positions.
     """
     seq: list[int] = []
-    for event in trace:
-        if isinstance(event, SmallStep):
-            if event.position != len(seq):
-                raise InvalidTraceError(
-                    f"draft at position {event.position}, expected {len(seq)}"
-                )
+    for event, _ in walk_trace(trace):
+        if isinstance(event, (SmallStep, LargeAppend)):
             seq.append(event.token)
-        elif isinstance(event, (Rollback, Rejection)):
-            if not 0 <= event.position < len(seq):
-                raise InvalidTraceError(f"rollback position {event.position} out of range")
-            if event.tokens_discarded != len(seq) - event.position:
-                raise InvalidTraceError("rollback discard count inconsistent with position")
+        elif isinstance(event, Rollback):
             del seq[event.position :]
             seq.append(event.replacement)
-        elif isinstance(event, LargeAppend):
-            if event.position != len(seq):
-                raise InvalidTraceError(
-                    f"append at position {event.position}, expected {len(seq)}"
-                )
-            seq.append(event.token)
     if max_len is not None:
         seq = seq[:max_len]
     return seq

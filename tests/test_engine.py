@@ -7,6 +7,7 @@ from bild import (
     InvalidInputError,
     PolicyConfig,
     Sampler,
+    SpecConfig,
     VocabularyMismatchError,
     Vocabulary,
     ablation_decode,
@@ -14,6 +15,7 @@ from bild import (
     fit_ngram,
     oracle_blend_decode,
     replay_trace,
+    speculative_decode,
     vanilla_decode,
 )
 from bild.trace import Eos, Fallback, LargeVerify, Rollback, SmallStep
@@ -231,9 +233,18 @@ def test_trace_replay_invariant():
         assert replay_trace(result.trace, max_len) == result.sequence
 
 
+def run_random_speculative(seed: int):
+    rng = random.Random(seed)
+    vocab, small, large = random_model_pair(seed)
+    config = SpecConfig(window=rng.choice([1, 2, 3, 5]), seed=seed)
+    prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
+    return speculative_decode(small, large, config, prompt, rng.randint(1, 15))
+
+
 def test_call_accounting_invariant():
-    for seed in range(150):
-        config, _, result = run_random(seed)
+    results = [run_random(seed)[2] for seed in range(150)]
+    results += [run_random_speculative(seed) for seed in range(150)]
+    for result in results:
         small_steps = sum(1 for e in result.trace if isinstance(e, SmallStep))
         low_conf = sum(
             1
@@ -241,8 +252,11 @@ def test_call_accounting_invariant():
             if isinstance(e, Fallback) and e.reason == "low_confidence"
         )
         fallbacks = sum(1 for e in result.trace if isinstance(e, Fallback))
+        undos = [e for e in result.trace if isinstance(e, Rollback)]  # rejections included
         assert result.counters.large_calls == result.counters.fallback_count == fallbacks
         assert result.counters.small_calls == small_steps + low_conf
+        assert result.counters.rollback_count == len(undos)
+        assert result.counters.tokens_discarded == sum(e.tokens_discarded for e in undos)
         assert (
             result.counters.small_tokens + result.counters.large_tokens
             == len(result.sequence)

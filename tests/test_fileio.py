@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bild import (
@@ -15,7 +17,16 @@ from bild import (
     save_trace,
     save_vocabulary,
 )
-from bild.trace import Rollback, SmallStep, event_from_json_dict, event_to_json_dict
+from bild.cli import main
+from bild.trace import (
+    Fallback,
+    LargeVerify,
+    Rejection,
+    Rollback,
+    SmallStep,
+    event_from_json_dict,
+    event_to_json_dict,
+)
 from conftest import make_table
 
 
@@ -114,3 +125,37 @@ def test_replay_rejects_inconsistent_positions():
         replay_trace([SmallStep(1, 0, 0.9)])
     with pytest.raises(InvalidTraceError):
         replay_trace([SmallStep(0, 0, 0.9), Rollback(0, 2, 1)])
+    with pytest.raises(InvalidTraceError):
+        replay_trace([SmallStep(0, 0, 0.9), Fallback(0, "low_confidence")])
+    with pytest.raises(InvalidTraceError):
+        replay_trace([SmallStep(0, 0, 0.9), Fallback(1, "window_cap"), LargeVerify((1,), (0.0,))])
+
+
+def test_rejection_is_a_rollback_with_its_own_tag():
+    rejection, rollback = Rejection(1, 2, 3), Rollback(1, 2, 3)
+    assert isinstance(rejection, Rollback) and rejection != rollback
+    assert event_to_json_dict(rejection)["event"] == "rejection"
+    assert event_from_json_dict(event_to_json_dict(rejection)) == rejection
+    assert event_from_json_dict(event_to_json_dict(rollback)) == rollback
+
+
+BAD_TRACE_LINES = {
+    "missing_field": '{"event": "rollback"}',
+    "non_integer_position": '{"event": "rollback", "position": "x", "tokens_discarded": 1, "replacement": 0}',
+    "not_json": "small_step 0 1",
+    "not_an_object": "[1, 2]",
+    "unhashable_tag": '{"event": [1]}',
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_TRACE_LINES.values()), ids=list(BAD_TRACE_LINES))
+def test_load_trace_names_the_bad_line(tmp_path, capsys, line):
+    path = tmp_path / "bad.trace.jsonl"
+    good = '{"event": "small_step", "position": 0, "token": 1, "max_prob": 0.9}'
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(InvalidTraceError, match="^" + re.escape(f"{path}:2: ")):
+        load_trace(path)
+    assert main(["cost", "--trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ")
+    assert "Traceback" not in err

@@ -178,15 +178,6 @@ def test_every_scored_dist_is_normalized(vocab5):
         assert abs(float(probs.sum()) - 1.0) <= 1e-9
 
 
-def test_descriptor_attachment(vocab3):
-    from bild import PRESETS
-
-    model = make_table(vocab3, default=[0.7, 0.2, 0.1])
-    assert model.descriptor is None
-    model.with_descriptor(PRESETS["t5-small"])
-    assert model.descriptor is PRESETS["t5-small"]
-
-
 def test_validate_token_names_a_wrong_type(vocab5):
     with pytest.raises(InvalidInputError, match=r"numpy\.int64"):
         vocab5.validate_token(np.int64(3))
