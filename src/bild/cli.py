@@ -36,13 +36,14 @@ from .engine import (
     vanilla_decode,
 )
 from .errors import BildError, ConfigurationError, VocabularyMismatchError
+from .jsondoc import check, field, load_json, read_dataclass
 from .metrics import RunSummary, summarize, summary_csv_header, summary_csv_row
 from .models import LanguageModel
 from .policies import PolicyConfig
 from .sampling import Sampler
 from .speculative import SpecConfig, speculative_decode
 from .toymodels import NgramLM, align_small, fit_ngram, load_table_lm
-from .trace import DecodeResult, load_trace
+from .trace import DecodeResult, event_to_json_dict, load_trace
 from .vocab import load_corpus, load_vocabulary
 
 # strategy -> runner(experiment, prompt, sampler, policy). Each runner looks
@@ -112,18 +113,14 @@ def derive_seed(base: int, *parts: int) -> int:
 
 def load_model(spec: dict, label: str) -> LanguageModel:
     """Load a model from its config entry ``{kind, path, vocab}``."""
-    try:
-        kind = spec["kind"]
-        path = spec["path"]
-    except (KeyError, TypeError):
-        raise ConfigurationError(f"{label}: model spec needs 'kind' and 'path'") from None
+    kind = field(spec, "kind", str, label)
+    path = field(spec, "path", str, label)
     if not Path(path).exists():
         raise ConfigurationError(f"{label}: model file not found: {path}")
-    vocab = None
-    if spec.get("vocab"):
-        if not Path(spec["vocab"]).exists():
-            raise ConfigurationError(f"{label}: vocabulary file not found: {spec['vocab']}")
-        vocab = load_vocabulary(spec["vocab"])
+    vocab_path = field(spec, "vocab", str | None, label, None)
+    if vocab_path and not Path(vocab_path).exists():
+        raise ConfigurationError(f"{label}: vocabulary file not found: {vocab_path}")
+    vocab = load_vocabulary(vocab_path) if vocab_path else None
     if kind == "table":
         if vocab is None:
             raise ConfigurationError(f"{label}: table models require a 'vocab' file")
@@ -139,48 +136,33 @@ class Experiment:
     def __init__(self, config_path: str, args: argparse.Namespace) -> None:
         if not Path(config_path).exists():
             raise ConfigurationError(f"config file not found: {config_path}")
-        try:
-            data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"config file {config_path} is not valid JSON: {e}")
-        self.data = data
-        for key in ("small_model", "large_model"):
-            if key not in data:
-                raise ConfigurationError(f"config file {config_path} lacks {key!r}")
-        self.small = load_model(data["small_model"], "small_model")
-        self.large = load_model(data["large_model"], "large_model")
-        policy = PolicyConfig.from_json_dict(data.get("policy", {"alpha_fb": 0.6, "alpha_rb": 2.0}))
-        if getattr(args, "alpha_fb", None) is not None:
-            policy = replace(policy, alpha_fb=args.alpha_fb)
-        if getattr(args, "alpha_rb", None) is not None:
-            policy = replace(policy, alpha_rb=args.alpha_rb)
-        if getattr(args, "window_cap", None) is not None:
-            policy = replace(policy, window_cap=args.window_cap)
-        self.policy = policy
-        self.sampler = Sampler.from_json_dict(data.get("sampler", {"kind": "greedy"}))
-        prompts_path = data.get("prompts")
-        if prompts_path is None:
-            raise ConfigurationError("config needs a 'prompts' file")
+        where = f"{config_path}:"
+        self.data = data = check(load_json(config_path), dict, where)
+        self.small = load_model(field(data, "small_model", dict, where), "small_model")
+        self.large = load_model(field(data, "large_model", dict, where), "large_model")
+        policy = field(data, "policy", PolicyConfig, where, PolicyConfig(alpha_fb=0.6, alpha_rb=2.0))
+        flags = {key: getattr(args, key, None) for key in ("alpha_fb", "alpha_rb", "window_cap")}
+        self.policy = replace(policy, **{key: v for key, v in flags.items() if v is not None})
+        self.sampler = field(data, "sampler", Sampler, where, Sampler.greedy())
+        prompts_path = field(data, "prompts", str, where)
         if not Path(prompts_path).exists():
             raise ConfigurationError(f"prompts file not found: {prompts_path}")
         self.prompts = load_corpus(prompts_path, self.small.vocabulary)
-        self.max_len = int(getattr(args, "max_len", None) or data.get("max_len", 32))
-        self.seed = int(
-            args.seed if getattr(args, "seed", None) is not None else data.get("seed", 0)
-        )
-        self.strategy = getattr(args, "strategy", None) or data.get("strategy", "bild")
+        self.max_len = getattr(args, "max_len", None) or field(data, "max_len", int, where, 32)
+        seed = getattr(args, "seed", None)
+        self.seed = field(data, "seed", int, where, 0) if seed is None else seed
+        self.strategy = getattr(args, "strategy", None) or field(data, "strategy", str, where, "bild")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        self.out_dir = Path(getattr(args, "out", None) or data.get("out_dir", "out"))
-        self.speculative_window = int(data.get("speculative_window", 4))
-        self.blend_threshold = float(data.get("blend_threshold", 0.5))
-        self.fixed_window_k = int(data.get("fixed_window_k", 3))
-        cost = data.get("cost", {})
-        self.small_desc = _resolve_descriptor(cost.get("small", "t5-small"))
-        self.large_desc = _resolve_descriptor(cost.get("large", "t5-large"))
-        self.peaks = None
-        if cost.get("peak_flops") and cost.get("peak_bandwidth"):
-            self.peaks = RooflinePeaks(float(cost["peak_flops"]), float(cost["peak_bandwidth"]))
+        self.out_dir = Path(getattr(args, "out", None) or field(data, "out_dir", str, where, "out"))
+        self.speculative_window = field(data, "speculative_window", int, where, 4)
+        self.blend_threshold = field(data, "blend_threshold", float, where, 0.5)
+        self.fixed_window_k = field(data, "fixed_window_k", int, where, 3)
+        cost, where = field(data, "cost", dict, where, {}), f"{config_path}: cost"
+        self.small_desc = _resolve_descriptor(cost.get("small", "t5-small"), f"{where}.small")
+        self.large_desc = _resolve_descriptor(cost.get("large", "t5-large"), f"{where}.large")
+        peaks = [field(cost, key, float | None, where, None) for key in ("peak_flops", "peak_bandwidth")]
+        self.peaks = RooflinePeaks(*peaks) if all(peaks) else None
 
     def run_strategy(
         self,
@@ -213,14 +195,14 @@ class Experiment:
         )
 
 
-def _resolve_descriptor(spec: str | dict) -> ModelDescriptor:
+def _resolve_descriptor(spec: object, where: str) -> ModelDescriptor:
     if isinstance(spec, dict):
-        return ModelDescriptor.from_json_dict(spec)
-    if spec in PRESETS:
+        return read_dataclass(ModelDescriptor, spec, where)
+    if check(spec, str, where) in PRESETS:
         return PRESETS[spec]
     if Path(spec).exists():
         return ModelDescriptor.load(spec)
-    raise ConfigurationError(f"unknown cost-model descriptor {spec!r}")
+    raise ConfigurationError(f"{where}: unknown cost-model descriptor {spec!r}")
 
 
 def _summaries_for_run(
@@ -244,7 +226,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         trace_path = exp.out_dir / f"prompt_{i:03d}.trace.jsonl"
         summary_path = exp.out_dir / f"prompt_{i:03d}.summary.json"
         outputs.append(
-            (trace_path, "\n".join(json.dumps(d) for d in _trace_dicts(result)) + "\n")
+            (trace_path, "\n".join(json.dumps(event_to_json_dict(e)) for e in result.trace) + "\n")
         )
         outputs.append((summary_path, json.dumps(result.summary_json_dict(), indent=2) + "\n"))
         rows.append(
@@ -269,17 +251,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_dicts(result: DecodeResult) -> list[dict]:
-    from .trace import event_to_json_dict
-
-    return [event_to_json_dict(e) for e in result.trace]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     exp = Experiment(args.config, args)
-    sweep = exp.data.get("sweep", {})
-    fb_grid = [float(x) for x in sweep.get("alpha_fb", DEFAULT_ALPHA_FB_GRID)]
-    rb_grid = [float(x) for x in sweep.get("alpha_rb", DEFAULT_ALPHA_RB_GRID)]
+    sweep = field(exp.data, "sweep", dict, f"{args.config}:", {})
+    fb_grid = field(sweep, "alpha_fb", list[float], f"{args.config}: sweep", DEFAULT_ALPHA_FB_GRID)
+    rb_grid = field(sweep, "alpha_rb", list[float], f"{args.config}: sweep", DEFAULT_ALPHA_RB_GRID)
     if not fb_grid or not rb_grid:
         raise ConfigurationError("sweep grids must be non-empty")
     rows = [summary_csv_header()]
@@ -328,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     strategies = (
         [s.strip() for s in args.strategies.split(",")]
         if args.strategies
-        else exp.data.get("strategies", ["bild", "vanilla_large"])
+        else field(exp.data, "strategies", list[str], f"{args.config}:", ["bild", "vanilla_large"])
     )
     if len(strategies) < 2:
         raise ConfigurationError("compare needs at least 2 strategies")
@@ -377,8 +353,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    small_desc = _resolve_descriptor(args.small_desc)
-    large_desc = _resolve_descriptor(args.large_desc)
+    small_desc = _resolve_descriptor(args.small_desc, "--small-desc")
+    large_desc = _resolve_descriptor(args.large_desc, "--large-desc")
     if args.trace:
         if not Path(args.trace).exists():
             raise ConfigurationError(f"trace file not found: {args.trace}")
@@ -497,7 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VocabularyMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BildError, OSError, KeyError, ValueError) as e:
+    except (BildError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,12 +18,12 @@ same input, so they cancel in every ratio.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidInputError
+from .jsondoc import load_json, read_dataclass
 from .trace import (
     LOW_CONFIDENCE,
     Fallback,
@@ -58,27 +58,15 @@ class ModelDescriptor:
         return 2 * self.layers * self.hidden_dim * self.bytes_per_param
 
     def to_json_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "hidden_dim": self.hidden_dim,
-            "ffn_dim": self.ffn_dim,
-            "decoder_params": self.decoder_params,
-            "bytes_per_param": self.bytes_per_param,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelDescriptor":
-        return cls(
-            layers=int(data["layers"]),
-            hidden_dim=int(data["hidden_dim"]),
-            ffn_dim=int(data["ffn_dim"]),
-            decoder_params=int(data["decoder_params"]),
-            bytes_per_param=int(data.get("bytes_per_param", 2)),
-        )
+        return read_dataclass(cls, data, "")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelDescriptor":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_dataclass(cls, load_json(path), f"{path}:")
 
 
 # Published decoder configurations (parameter counts exclude embeddings).

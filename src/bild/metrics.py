@@ -11,7 +11,7 @@ tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .costmodel import TallyReport
@@ -91,13 +91,7 @@ class RunSummary:
     modeled_speedup: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "fallback_pct": self.fallback_pct,
-            "rollback_pct": self.rollback_pct,
-            "agreement_with_reference": self.agreement_with_reference,
-            "perplexity_under_model": self.perplexity_under_model,
-            "modeled_speedup": self.modeled_speedup,
-        }
+        return asdict(self)
 
 
 def summarize(

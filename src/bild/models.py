@@ -1,11 +1,11 @@
 """The abstract language-model interface.
 
 A model is a pure function from a token prefix to a next-token
-distribution. ``score_next`` evaluates one position; ``score_range`` scores
-a contiguous run of positions of one sequence in a single logical
-invocation, which is what lets a verifying model review many drafted tokens
-at the cost of one weight load. The two must agree exactly: element ``i``
-of ``score_range(y, start)`` is ``score_next(y[:start + i])``.
+distribution. ``score_range``, the one method a model implements, scores a
+contiguous run of positions of one sequence in a single logical invocation,
+which is what lets a verifying model review many drafted tokens at the cost
+of one weight load. Element ``i`` of ``score_range(y, start)`` is
+``score_next(y[:start + i])``.
 
 ``score_range`` covers every prefix length from ``start`` through
 ``len(y)``, the empty prefix included when ``start`` is 0, so a verify of
@@ -38,19 +38,18 @@ class LanguageModel(ABC):
     def vocabulary(self) -> Vocabulary:
         ...
 
-    @abstractmethod
     def score_next(self, prefix: Sequence[int]) -> ProbDist:
         """Next-token distribution conditioned on ``prefix`` (may be empty)."""
+        return self.score_range(prefix, len(prefix))[0]
 
+    @abstractmethod
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         """Distributions after each prefix ``sequence[:m]``, m=start..len(sequence).
 
         Returns ``len(sequence) - start + 1`` distributions. Raises when
         ``start`` lies outside ``0..len(sequence)`` or a token is out of
-        range. Subclasses override this with a faster equivalent.
+        range (``_check_range`` does both).
         """
-        self._check_range(sequence, start)
-        return [self.score_next(sequence[:m]) for m in range(start, len(sequence) + 1)]
 
     def score_all(self, sequence: Sequence[int]) -> list[ProbDist]:
         """Distributions after each non-empty prefix; raises on an empty sequence."""

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .dist import PROB_FLOOR, ProbDist
 from .errors import InvalidInputError
+from .jsondoc import load_json, read_dataclass
 
 # Largest value the distance metric can take given the probability floor.
 MAX_DISTANCE = -math.log(PROB_FLOOR)
@@ -73,7 +74,7 @@ class PolicyConfig:
     def draft_cap(self) -> int:
         """Effective bound on consecutive drafts for the active mode."""
         if self.fallback_mode == FIXED_WINDOW:
-            return int(self.fixed_window_k)  # type: ignore[arg-type]
+            return self.fixed_window_k  # type: ignore[return-value]
         return self.window_cap
 
     def without_rollback(self) -> "PolicyConfig":
@@ -98,21 +99,11 @@ class PolicyConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolicyConfig":
-        return cls(
-            alpha_fb=float(data["alpha_fb"]),
-            alpha_rb=float(data["alpha_rb"]),
-            window_cap=int(data.get("window_cap", 10)),
-            rollback_enabled=bool(data.get("rollback_enabled", True)),
-            fallback_mode=data.get("fallback_mode", CONFIDENCE),
-            fixed_window_k=(
-                int(data["fixed_window_k"]) if data.get("fixed_window_k") is not None else None
-            ),
-            verify_eos=bool(data.get("verify_eos", False)),
-        )
+        return read_dataclass(cls, data, "")
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyConfig":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_dataclass(cls, load_json(path), f"{path}:")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")

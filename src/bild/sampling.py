@@ -18,6 +18,7 @@ import numpy as np
 
 from .dist import ProbDist
 from .errors import InvalidInputError
+from .jsondoc import read_dataclass
 
 GREEDY = "greedy"
 NUCLEUS = "nucleus"
@@ -33,7 +34,7 @@ class Sampler:
     ``seed`` seeds the per-run generator for the stochastic kinds.
     """
 
-    kind: str
+    kind: str = GREEDY
     p: float | None = None
     t: float | None = None
     seed: int = 0
@@ -74,12 +75,7 @@ class Sampler:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Sampler":
-        return cls(
-            kind=data.get("kind", GREEDY),
-            p=data.get("p"),
-            t=data.get("t"),
-            seed=int(data.get("seed", 0)),
-        )
+        return read_dataclass(cls, data, "")
 
 
 def nucleus_support(probs: np.ndarray, p: float) -> list[int]:

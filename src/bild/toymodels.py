@@ -20,6 +20,7 @@ import numpy as np
 from .dist import ProbDist
 from .engine import vanilla_decode
 from .errors import InvalidInputError
+from .jsondoc import check, field, load_json, read_text
 from .models import LanguageModel
 from .sampling import Sampler
 from .vocab import EMPTY_SEQUENCE_MARK, Vocabulary
@@ -61,9 +62,6 @@ class TableLM(LanguageModel):
     def default_row(self) -> ProbDist:
         return self._default_row
 
-    def score_next(self, prefix: Sequence[int]) -> ProbDist:
-        return self.score_range(prefix, len(prefix))[0]
-
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         self._check_range(sequence, start)
         seq = tuple(sequence)
@@ -78,26 +76,27 @@ def load_table_lm(path: str | Path, vocabulary: Vocabulary) -> TableLM:
     """
     rows: dict[tuple[int, ...], ProbDist] = {}
     default_row: ProbDist | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "|" not in line:
-            raise InvalidInputError(f"{path}:{lineno}: expected '<context> | <probs>'")
-        ctx_part, probs_part = line.split("|", 1)
-        probs = [float(x) for x in probs_part.split()]
-        if len(probs) != vocabulary.size:
-            raise InvalidInputError(
-                f"{path}:{lineno}: expected {vocabulary.size} probabilities, got {len(probs)}"
-            )
-        dist = ProbDist(np.array(probs))
-        ctx_part = ctx_part.strip()
-        if ctx_part == DEFAULT_ROW_MARK:
-            default_row = dist
-        elif ctx_part in ("", EMPTY_SEQUENCE_MARK):
-            rows[()] = dist
-        else:
-            rows[tuple(vocabulary.id_of(s) for s in ctx_part.split())] = dist
+        try:
+            if "|" not in line:
+                raise InvalidInputError("expected '<context> | <probs>'")
+            ctx_part, probs_part = line.split("|", 1)
+            probs = [float(x) for x in probs_part.split()]
+            if len(probs) != vocabulary.size:
+                raise InvalidInputError(f"expected {vocabulary.size} probabilities, got {len(probs)}")
+            dist = ProbDist(np.array(probs))
+            ctx_part = ctx_part.strip()
+            if ctx_part == DEFAULT_ROW_MARK:
+                default_row = dist
+            elif ctx_part in ("", EMPTY_SEQUENCE_MARK):
+                rows[()] = dist
+            else:
+                rows[tuple(vocabulary.id_of(s) for s in ctx_part.split())] = dist
+        except ValueError as e:  # from float() or any check above (InvalidInputError is one)
+            raise InvalidInputError(f"{path}:{lineno}: {e}") from None
     if default_row is None:
         raise InvalidInputError(f"{path}: missing required DEFAULT row")
     return TableLM(vocabulary, rows, default_row)
@@ -150,13 +149,13 @@ class NgramLM(LanguageModel):
         self._sparse_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         v, width = vocabulary.size, order - 1
         for (ctx, tok), c in counts.items():
-            if c < 0:
-                raise InvalidInputError("counts must be non-negative")
-            if not 0 <= tok < v:
-                raise InvalidInputError(f"n-gram token id {tok!r} out of range [0, {v})")
+            if type(c) is not int or c < 0:
+                raise InvalidInputError(f"n-gram count {c!r} is not a non-negative integer")
+            if type(tok) is not int or not 0 <= tok < v:
+                raise InvalidInputError(f"n-gram token id {tok!r} is not an integer in [0, {v})")
             total = self._context_totals.get(ctx)
             if total is None:  # first count of this context: check it once
-                if len(ctx) != width or (ctx and (min(ctx) < BOS or max(ctx) >= v)):
+                if len(ctx) != width or not all(type(t) is int and BOS <= t < v for t in ctx):
                     raise InvalidInputError(
                         f"n-gram context {ctx!r} must hold order - 1 = {width} ids, "
                         f"each in [0, {v}) or BOS ({BOS})"
@@ -167,9 +166,6 @@ class NgramLM(LanguageModel):
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
-
-    def score_next(self, prefix: Sequence[int]) -> ProbDist:
-        return self.score_range(prefix, len(prefix))[0]
 
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         self._check_range(sequence, start)
@@ -216,25 +212,28 @@ class NgramLM(LanguageModel):
 
     @classmethod
     def from_json_dict(cls, data: dict, vocabulary: Vocabulary | None = None) -> "NgramLM":
+        data = check(data, dict, "")
+        size = field(data, "vocab_size", int, "")
         if vocabulary is None:
-            if "eos" not in data:
-                raise InvalidInputError("n-gram document lacks 'eos'; pass a vocabulary")
-            vocabulary = Vocabulary(size=int(data["vocab_size"]), eos=int(data["eos"]))
-        elif vocabulary.size != int(data["vocab_size"]):
+            vocabulary = Vocabulary(size=size, eos=field(data, "eos", int, ""))
+        elif vocabulary.size != size:
             raise InvalidInputError("vocabulary size does not match the n-gram document")
-        counts = {
-            (tuple(int(t) for t in ctx), int(tok)): int(c) for ctx, tok, c in data["counts"]
-        }
-        return cls(vocabulary, int(data["order"]), float(data["smoothing"]), counts)
+        try:
+            counts = {(tuple(ctx), tok): c for ctx, tok, c in field(data, "counts", list, "")}
+        except (TypeError, ValueError):  # an entry that is not three values, or unhashable
+            raise InvalidInputError("counts: each entry must be [context ids, token id, count]") from None
+        return cls(vocabulary, field(data, "order", int, ""), field(data, "smoothing", float, ""), counts)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, vocabulary: Vocabulary | None = None) -> "NgramLM":
-        return cls.from_json_dict(
-            json.loads(Path(path).read_text(encoding="utf-8")), vocabulary
-        )
+        data = load_json(path)
+        try:
+            return cls.from_json_dict(data, vocabulary)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}: {e}") from None
 
 
 def fit_ngram(

@@ -13,11 +13,12 @@ Events serialize to JSON Lines, one object per line with an ``event`` tag:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import InvalidTraceError
+from .errors import InvalidInputError, InvalidTraceError
+from .jsondoc import check, read_dataclass, read_text
 
 SMALL = "small"
 LARGE = "large"
@@ -107,52 +108,21 @@ _TAG_TYPES = {tag: typ for typ, tag in _EVENT_TAGS.items()}
 
 def event_to_json_dict(event: TraceEvent) -> dict:
     out: dict = {"event": _EVENT_TAGS[type(event)]}
-    if isinstance(event, SmallStep):
-        out.update(position=event.position, token=event.token, max_prob=event.max_prob)
-    elif isinstance(event, Fallback):
-        out.update(position=event.position, reason=event.reason)
-    elif isinstance(event, LargeVerify):
-        out.update(positions=list(event.positions), distances=list(event.distances))
-    elif isinstance(event, Rollback):
-        out.update(
-            position=event.position,
-            tokens_discarded=event.tokens_discarded,
-            replacement=event.replacement,
-        )
-    elif isinstance(event, LargeAppend):
-        out.update(position=event.position, token=event.token)
-    elif isinstance(event, Eos):
-        out.update(position=event.position)
+    for f in fields(event):
+        value = getattr(event, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def event_from_json_dict(data: dict) -> TraceEvent:
     """Parse one event; raises ``InvalidTraceError`` on any malformed document."""
-    if not isinstance(data, dict):
-        raise InvalidTraceError(f"trace event must be a JSON object, got {type(data).__name__}")
-    tag = data.get("event")
-    if not isinstance(tag, str) or tag not in _TAG_TYPES:
-        raise InvalidTraceError(f"unknown trace event tag {tag!r}")
-    typ = _TAG_TYPES[tag]
     try:
-        if typ is SmallStep:
-            return SmallStep(int(data["position"]), int(data["token"]), float(data["max_prob"]))
-        if typ is Fallback:
-            return Fallback(int(data["position"]), str(data["reason"]))
-        if typ is LargeVerify:
-            return LargeVerify(
-                tuple(int(p) for p in data["positions"]),
-                tuple(float(d) for d in data["distances"]),
-            )
-        if issubclass(typ, Rollback):
-            return typ(int(data["position"]), int(data["tokens_discarded"]), int(data["replacement"]))
-        if typ is LargeAppend:
-            return LargeAppend(int(data["position"]), int(data["token"]))
-        return Eos(int(data["position"]))
-    except KeyError as e:
-        raise InvalidTraceError(f"{tag} event lacks field {e}") from None
-    except (TypeError, ValueError) as e:
-        raise InvalidTraceError(f"{tag} event has a malformed field: {e}") from None
+        tag = check(check(data, dict, "").get("event"), str, "event")
+        if tag not in _TAG_TYPES:
+            raise InvalidInputError(f"unknown trace event tag {tag!r}")
+        return read_dataclass(_TAG_TYPES[tag], data, tag)
+    except InvalidInputError as e:
+        raise InvalidTraceError(str(e)) from None
 
 
 def save_trace(trace: Iterable[TraceEvent], path: str | Path) -> None:
@@ -163,11 +133,11 @@ def save_trace(trace: Iterable[TraceEvent], path: str | Path) -> None:
 def load_trace(path: str | Path) -> list[TraceEvent]:
     """Read a JSONL trace; a malformed line raises ``InvalidTraceError`` naming ``path:line``."""
     events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.strip():
             try:
                 events.append(event_from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, InvalidTraceError) as e:
+            except (ValueError, RecursionError, InvalidTraceError) as e:
                 raise InvalidTraceError(f"{path}:{lineno}: {e}") from None
     return events
 
@@ -243,15 +213,7 @@ class Counters:
     large_calls: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "small_tokens": self.small_tokens,
-            "large_tokens": self.large_tokens,
-            "fallback_count": self.fallback_count,
-            "rollback_count": self.rollback_count,
-            "tokens_discarded": self.tokens_discarded,
-            "small_calls": self.small_calls,
-            "large_calls": self.large_calls,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

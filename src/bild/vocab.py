@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
+from .jsondoc import read_text
 
 EOS_SYMBOL = "<eos>"
 EMPTY_SEQUENCE_MARK = "-"
@@ -33,6 +34,9 @@ class Vocabulary:
             raise InvalidInputError(f"eos id {self.eos} out of range [0, {self.size})")
         if self.tokens is not None and len(self.tokens) != self.size:
             raise InvalidInputError("token symbol list must match vocabulary size")
+        object.__setattr__(self, "_ids", {s: i for i, s in enumerate(self.tokens or ())})
+        if len(self._ids) != len(self.tokens or ()):
+            raise InvalidInputError("token symbols must be distinct")
 
     def validate_token(self, token: int) -> None:
         if not isinstance(token, int):
@@ -57,8 +61,8 @@ class Vocabulary:
         """Token id for a symbol (or a bare integer id when symbols are unset)."""
         if self.tokens is not None:
             try:
-                return self.tokens.index(symbol)
-            except ValueError:
+                return self._ids[symbol]
+            except KeyError:
                 raise InvalidInputError(f"unknown token symbol {symbol!r}") from None
         if symbol == EOS_SYMBOL:
             return self.eos
@@ -76,7 +80,7 @@ class Vocabulary:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file (one symbol per line, line number = id)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     symbols = [line.strip() for line in lines if line.strip()]
     if len(symbols) < 2:
         raise InvalidInputError(f"vocabulary file {path} must list at least 2 symbols")
@@ -106,7 +110,7 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary) -> list[list[int]]:
     Blank lines are skipped; use ``-`` for an intentionally empty sequence.
     """
     sequences = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             continue
         sequences.append(parse_sequence(line, vocabulary))

@@ -290,3 +290,57 @@ def test_flag_overrides(workspace):
     record = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(record["alpha_fb"]) == 1.01
     assert float(record["agreement"]) == 1.0  # pure-large output matches reference
+
+
+BAD_CONFIGS = {
+    "rollback_enabled_string": (("policy", "rollback_enabled"), "false", "policy.rollback_enabled"),
+    "max_len_fraction": (("max_len",), 7.9, "max_len"),
+    "max_len_string": (("max_len",), "abc", "max_len"),
+    "seed_string": (("seed",), "12", "seed"),
+    "window_cap_fraction": (("policy", "window_cap"), 2.5, "policy.window_cap"),
+    "nucleus_p_string": (("sampler",), {"kind": "nucleus", "p": "0.9"}, "sampler.p"),
+    "policy_array": (("policy",), [], "policy"),
+    "sweep_grid_number": (("sweep",), {"alpha_fb": 3}, "sweep.alpha_fb"),
+    "cost_descriptor_number": (("cost",), {"small": 5}, "cost.small"),
+    "prompts_number": (("prompts",), 5, "prompts"),
+}
+
+
+def _assert_one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "keys, value, name", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS)
+)
+def test_bad_config_field_exits_1_naming_it(workspace, capsys, keys, value, name):
+    tmp_path, config_path, config, task = workspace
+    target = config
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    config_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    _assert_one_error_line(capsys, f"{config_path}: {name}")
+
+
+BAD_NGRAM_DOCS = {
+    "order_string": (lambda doc: json.dumps({**doc, "order": "2"}), "order"),
+    "counts_string": (lambda doc: json.dumps({**doc, "counts": "x"}), "counts"),
+    "two_element_entry": (
+        lambda doc: json.dumps({**doc, "counts": doc["counts"] + [[[0], 1]]}),
+        "counts",
+    ),
+    "not_json": (lambda doc: json.dumps(doc)[:-1], "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("edit, name", list(BAD_NGRAM_DOCS.values()), ids=list(BAD_NGRAM_DOCS))
+def test_bad_ngram_document_exits_1_naming_file_and_field(workspace, capsys, edit, name):
+    tmp_path, config_path, config, task = workspace
+    large_path = tmp_path / "large.json"
+    large_path.write_text(edit(json.loads(large_path.read_text())))
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    _assert_one_error_line(capsys, f"{large_path}: {name}")

@@ -145,6 +145,9 @@ BAD_TRACE_LINES = {
     "not_json": "small_step 0 1",
     "not_an_object": "[1, 2]",
     "unhashable_tag": '{"event": [1]}',
+    "fractional_position": '{"event": "small_step", "position": 1.7, "token": 1, "max_prob": 0.9}',
+    "boolean_token": '{"event": "small_step", "position": 1, "token": true, "max_prob": 0.9}',
+    "string_positions": '{"event": "large_verify", "positions": "12", "distances": [0.0, 0.0]}',
 }
 
 
