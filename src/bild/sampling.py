@@ -92,13 +92,15 @@ def nucleus_support(probs: np.ndarray, p: float) -> list[int]:
     return order[:size].tolist()
 
 
-def _inverse_cdf(tokens: list[int], weights: np.ndarray, u: float) -> int:
-    """Pick the first token (ascending id order) whose CDF exceeds ``u``."""
-    tokens = sorted(tokens)
-    cdf = np.cumsum([weights[t] for t in tokens])
+def _inverse_cdf(weights: np.ndarray, u: float) -> int:
+    """Pick the first token id whose normalized CDF over ``weights`` exceeds ``u``.
+
+    A zero weight adds nothing to a partial sum, so zeroing the tokens
+    outside a support draws exactly as summing over the support alone.
+    """
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return tokens[min(idx, len(tokens) - 1)]
+    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
 
 def sample(dist: ProbDist, sampler: Sampler, rng: random.Random) -> int:
@@ -112,7 +114,9 @@ def sample(dist: ProbDist, sampler: Sampler, rng: random.Random) -> int:
 
     if sampler.kind == NUCLEUS:
         support = nucleus_support(dist.probs, sampler.p)
-        return _inverse_cdf(support, dist.probs, rng.random())
+        weights = np.zeros_like(dist.probs)
+        weights[support] = dist.probs[support]
+        return _inverse_cdf(weights, rng.random())
 
     # temperature: reweight as probs**(1/t), computed in log space and
     # rescaled so the largest weight is 1 (a direct power underflows to an
@@ -121,9 +125,9 @@ def sample(dist: ProbDist, sampler: Sampler, rng: random.Random) -> int:
     positive = dist.probs > 0
     log_w = np.log(dist.probs[positive]) / sampler.t
     weights[positive] = np.exp(log_w - log_w.max())
-    return _inverse_cdf(list(range(len(dist))), weights, rng.random())
+    return _inverse_cdf(weights, rng.random())
 
 
 def multinomial(dist: ProbDist, rng: random.Random) -> int:
     """One inverse-CDF draw from ``dist`` itself (ascending token id order)."""
-    return _inverse_cdf(list(range(len(dist))), dist.probs, rng.random())
+    return _inverse_cdf(dist.probs, rng.random())

@@ -11,6 +11,8 @@ model is fine-tuned on the verifying model's outputs.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -120,13 +122,6 @@ class NgramLM(LanguageModel):
     The conditional probability of token ``t`` after context ``c`` is
     ``(count(c, t) + smoothing) / (total(c) + smoothing * V)``. Contexts
     shorter than ``order - 1`` are padded on the left with ``BOS``.
-
-    Each context's observed counts are gathered into a sparse row the first
-    time the context is scored and kept, so the memo holds at most one row
-    per context in ``counts``; a context without counts is uniform and is
-    not stored. The memo never changes a result, so the model still
-    behaves as immutable. It pays off when a process scores the same
-    contexts again, as the decodes over a prompt file or a sweep grid do.
     """
 
     def __init__(
@@ -138,34 +133,38 @@ class NgramLM(LanguageModel):
     ) -> None:
         if order < 1:
             raise InvalidInputError("order must be >= 1")
-        if smoothing <= 0:
-            raise InvalidInputError("smoothing must be > 0")
+        if not (math.isfinite(smoothing) and smoothing > 0):
+            raise InvalidInputError(f"smoothing must be finite and > 0, got {smoothing!r}")
         self._vocabulary = vocabulary
         self.order = order
         self.smoothing = float(smoothing)
-        self.counts = dict(counts)
-        self._context_totals: dict[tuple[int, ...], int] = {}
-        # Sparse (token ids, counts) row per context, built on first use.
-        self._sparse_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # The observed (token ids, counts) of each context, in first-seen order.
+        self._rows: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         v, width = vocabulary.size, order - 1
         for (ctx, tok), c in counts.items():
             if type(c) is not int or c < 0:
                 raise InvalidInputError(f"n-gram count {c!r} is not a non-negative integer")
             if type(tok) is not int or not 0 <= tok < v:
                 raise InvalidInputError(f"n-gram token id {tok!r} is not an integer in [0, {v})")
-            total = self._context_totals.get(ctx)
-            if total is None:  # first count of this context: check it once
+            row = self._rows.get(ctx)
+            if row is None:  # first count of this context: check it once
                 if len(ctx) != width or not all(type(t) is int and BOS <= t < v for t in ctx):
                     raise InvalidInputError(
                         f"n-gram context {ctx!r} must hold order - 1 = {width} ids, "
                         f"each in [0, {v}) or BOS ({BOS})"
                     )
-                total = 0
-            self._context_totals[ctx] = total + c
+                row = self._rows[ctx] = ([], [])
+            row[0].append(tok)
+            row[1].append(c)
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self._vocabulary
+
+    @property
+    def counts(self) -> dict[tuple[tuple[int, ...], int], int]:
+        """Every ``(context, token) -> count`` entry, as a fresh dict."""
+        return {(ctx, t): c for ctx, (ids, counts) in self._rows.items() for t, c in zip(ids, counts)}
 
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         self._check_range(sequence, start)
@@ -176,29 +175,13 @@ class NgramLM(LanguageModel):
 
     def _row(self, ctx: tuple[int, ...]) -> ProbDist:
         """The smoothed distribution after ``ctx``: unseen tokens share one value."""
-        v = self._vocabulary.size
-        total = self._context_totals.get(ctx)
-        if total is None:  # no counts: uniform
-            return ProbDist(np.full(v, self.smoothing / (self.smoothing * v)))
-        sparse = self._sparse_rows.get(ctx)
-        if sparse is None:
-            sparse = self._sparse_rows[ctx] = self._sparse_row(ctx)
-        ids, counts = sparse
-        denom = total + self.smoothing * v
-        probs = np.full(v, self.smoothing / denom)
-        probs[ids] = (counts + self.smoothing) / denom
+        # ids stays a list: an empty tuple index would address the whole array
+        ids, counts = self._rows.get(ctx, ([], []))
+        s = self.smoothing
+        denom = sum(counts) + s * self._vocabulary.size
+        probs = np.full(self._vocabulary.size, s / denom)
+        probs[ids] = [(c + s) / denom for c in counts]
         return ProbDist(probs)
-
-    def _sparse_row(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and counts of the tokens observed after ``ctx``."""
-        ids: list[int] = []
-        counts: list[int] = []
-        for t in range(self._vocabulary.size):
-            c = self.counts.get((ctx, t))
-            if c is not None:
-                ids.append(t)
-                counts.append(c)
-        return np.array(ids, dtype=np.intp), np.array(counts, dtype=np.int64)
 
     def to_json_dict(self) -> dict:
         counts = sorted((list(ctx), tok, c) for (ctx, tok), c in self.counts.items())
@@ -250,14 +233,12 @@ def fit_ngram(
     """
     if len(corpus) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
+    counts: Counter[tuple[tuple[int, ...], int]] = Counter()
+    width = order - 1
     for seq in corpus:
         vocabulary.validate_sequence(seq)
-        padded = [BOS] * (order - 1) + list(seq)
-        for i, token in enumerate(seq):
-            ctx = tuple(padded[i : i + order - 1])
-            key = (ctx, token)
-            counts[key] = counts.get(key, 0) + 1
+        padded = (BOS,) * width + tuple(seq)
+        counts.update((padded[i : i + width], token) for i, token in enumerate(seq))
     return NgramLM(vocabulary, order, smoothing, counts)
 
 

@@ -110,10 +110,13 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary) -> list[list[int]]:
     Blank lines are skipped; use ``-`` for an intentionally empty sequence.
     """
     sequences = []
-    for line in read_text(path).splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
-        sequences.append(parse_sequence(line, vocabulary))
+        try:
+            sequences.append(parse_sequence(line, vocabulary))
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}:{lineno}: {e}") from None
     return sequences
 
 

@@ -306,6 +306,23 @@ BAD_CONFIGS = {
 }
 
 
+def test_bad_prompt_symbol_exits_1_naming_file_and_line(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text(prompts.read_text().splitlines()[0] + "\nz\n")
+    assert main(["decode", "--config", str(config_path)]) == 1
+    _assert_one_error_line(capsys, f"{prompts}:2")
+
+
+def test_fit_non_finite_smoothing_exits_1(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    fitted = tmp_path / "fitted.json"
+    args = ["fit", "--corpus", str(tmp_path / "corpus.txt"), "--vocab", str(tmp_path / "vocab.txt")]
+    assert main(args + ["--order", "2", "--smoothing", "nan", "--out", str(fitted)]) == 1
+    assert capsys.readouterr().err == "error: smoothing must be finite and > 0, got nan\n"
+    assert not fitted.exists()
+
+
 def _assert_one_error_line(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}: "), err

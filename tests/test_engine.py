@@ -18,7 +18,7 @@ from bild import (
     speculative_decode,
     vanilla_decode,
 )
-from bild.trace import Eos, Fallback, LargeVerify, Rollback, SmallStep
+from bild.trace import Eos, Fallback, LargeAppend, LargeVerify, Rollback, SmallStep
 from conftest import make_table, random_model_pair
 
 A, B, EOS = 0, 1, 2
@@ -241,9 +241,34 @@ def run_random_speculative(seed: int):
     return speculative_decode(small, large, config, prompt, rng.randint(1, 15))
 
 
+def run_random_ablation(seed: int, variant: str):
+    rng = random.Random(seed)
+    vocab, small, large = random_model_pair(seed)
+    config = PolicyConfig(
+        alpha_fb=rng.choice([0.2, 0.6]), alpha_rb=rng.choice([0.5, 2.0]), window_cap=5
+    )
+    prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
+    max_len, k = rng.randint(1, 15), rng.choice([1, 2, 3])
+    return ablation_decode(variant, small, large, config, Sampler.greedy(), prompt, max_len, k=k)
+
+
+def run_random_single(seed: int):
+    """A vanilla decode of the small model and an oracle blend of the pair."""
+    rng = random.Random(seed)
+    vocab, small, large = random_model_pair(seed)
+    prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
+    sampler = Sampler.nucleus(0.9, seed=seed)
+    max_len = rng.randint(1, 15)
+    vanilla = vanilla_decode(small, prompt, sampler, max_len)
+    blend, _ = oracle_blend_decode(small, large, rng.random(), sampler, prompt, max_len)
+    return vanilla, blend
+
+
 def test_call_accounting_invariant():
     results = [run_random(seed)[2] for seed in range(150)]
     results += [run_random_speculative(seed) for seed in range(150)]
+    for variant in ("no_rollback", "fixed_window"):
+        results += [run_random_ablation(seed, variant) for seed in range(75)]
     for result in results:
         small_steps = sum(1 for e in result.trace if isinstance(e, SmallStep))
         low_conf = sum(
@@ -261,6 +286,13 @@ def test_call_accounting_invariant():
             result.counters.small_tokens + result.counters.large_tokens
             == len(result.sequence)
         )
+    for seed in range(150):
+        vanilla, blend = run_random_single(seed)
+        small_steps = sum(1 for e in vanilla.trace if isinstance(e, SmallStep))
+        assert vanilla.counters.small_calls == small_steps == len(vanilla.sequence)
+        assert vanilla.counters.large_calls == 0
+        steps = sum(1 for e in blend.trace if isinstance(e, (SmallStep, LargeAppend)))
+        assert blend.counters.small_calls == blend.counters.large_calls == steps
 
 
 def test_identical_models_never_roll_back():

@@ -100,24 +100,13 @@ def test_ngram_sparse_rows_equal_dense_formula(case):
     model, seq, _ = case
     v, s = model.vocabulary.size, model.smoothing
     padded = [BOS] * (model.order - 1) + list(seq)
-    # scored twice: the second pass reads every row from the memo
+    # scored twice: a second score of the same contexts must not differ
     for _ in range(2):
         for m, got in enumerate(model.score_range(seq, 0)):
             ctx = tuple(padded[m : m + model.order - 1])
             denom = sum(c for (cx, _), c in model.counts.items() if cx == ctx) + s * v
             dense = np.array([(model.counts.get((ctx, t), 0) + s) / denom for t in range(v)])
             assert np.array_equal(got.probs, dense)
-
-
-def test_ngram_memo_keeps_only_contexts_with_counts(vocab5):
-    model = fit_ngram([[0, 1, 2]], 3, 0.5, vocab5)
-    # every context of [3, 3, 3, 3] but the padded start is absent from the counts
-    rows = model.score_range([3, 3, 3, 3], 2)
-    assert model._sparse_rows == {}
-    for row in rows:
-        assert np.array_equal(row.probs, np.full(5, 0.5 / (0.5 * 5)))
-    model.score_range([0, 1], 0)
-    assert sorted(model._sparse_rows) == [(BOS, BOS), (BOS, 0), (0, 1)]
 
 
 @given(

@@ -118,6 +118,55 @@ def test_nucleus_support_matches_sorted_reference(weights, p):
     assert nucleus_support(arr, p) == _reference_nucleus_support(arr, p)
 
 
+def _reference_inverse_cdf(tokens, weights, u):
+    """The sorted-support inverse CDF: a Python weight list over ascending ids."""
+    tokens = sorted(tokens)
+    cdf = np.cumsum([weights[t] for t in tokens])
+    cdf /= cdf[-1]
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    return tokens[min(idx, len(tokens) - 1)]
+
+
+def _reference_sample(probs, sampler, u):
+    """The draw the sorted-support algorithm makes; ``sampler=None`` is multinomial."""
+    if sampler is None:
+        return _reference_inverse_cdf(range(len(probs)), probs, u)
+    if sampler.kind == "nucleus":
+        return _reference_inverse_cdf(_reference_nucleus_support(probs, sampler.p), probs, u)
+    weights = np.zeros_like(probs)
+    positive = probs > 0
+    log_w = np.log(probs[positive]) / sampler.t
+    weights[positive] = np.exp(log_w - log_w.max())
+    return _reference_inverse_cdf(range(len(probs)), weights, u)
+
+
+@given(
+    probs=tied_rows(),
+    sampler=st.sampled_from(
+        [
+            Sampler.nucleus(1e-3),
+            Sampler.nucleus(0.5),
+            Sampler.nucleus(0.9),
+            Sampler.nucleus(1.0),
+            Sampler.temperature(0.3),
+            Sampler.temperature(1.0),
+            Sampler.temperature(4.0),
+            None,  # multinomial
+        ]
+    ),
+    u=st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 2 / 3, 0.999999]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+)
+def test_draws_match_sorted_support_reference(probs, sampler, u):
+    d = ProbDist(probs)
+    rng = FixedRng(u)
+    got = multinomial(d, rng) if sampler is None else sample(d, sampler, rng)
+    assert rng.calls == 1
+    assert got == _reference_sample(d.probs, sampler, u)
+
+
 def test_temperature_one_matches_distribution_within_tvd():
     target = [0.5, 0.3, 0.2]
     rng = random.Random(1234)

@@ -1,7 +1,11 @@
+import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bild import (
     InvalidInputError,
@@ -110,6 +114,36 @@ def test_ngram_document_rejects_bad_counts_at_load(counts, match):
     doc = {"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts}
     with pytest.raises(InvalidInputError, match=match):
         NgramLM.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0, -1.0])
+def test_ngram_rejects_bad_smoothing_at_construction(vocab3, smoothing):
+    with pytest.raises(InvalidInputError, match="smoothing"):
+        NgramLM(vocab3, 2, smoothing, {})
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_ngram_load_names_file_and_non_finite_smoothing(tmp_path, literal):
+    path = tmp_path / "model.json"
+    doc = json.dumps({"order": 1, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": []})
+    path.write_text(doc.replace("0.5", literal))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: smoothing"):
+        NgramLM.load(path)
+
+
+@given(
+    corpus=st.lists(st.lists(st.integers(0, 2), max_size=8), min_size=1, max_size=5),
+    order=st.integers(1, 3),
+)
+def test_fit_counts_equal_naive_window_count(corpus, order):
+    model = fit_ngram(corpus, order, 1.0, Vocabulary(size=3, eos=2))
+    naive = {}
+    for seq in corpus:
+        padded = [BOS] * (order - 1) + seq
+        for i in range(len(seq)):
+            key = (tuple(padded[i : i + order - 1]), padded[i + order - 1])
+            naive[key] = naive.get(key, 0) + 1
+    assert model.counts == naive
 
 
 # corpus generation
