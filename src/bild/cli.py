@@ -206,12 +206,19 @@ def _resolve_descriptor(spec: object, where: str) -> ModelDescriptor:
 
 
 def _summaries_for_run(
-    exp: Experiment, strategy: str, policy: PolicyConfig, prompt_idx: int, grid_idx: int = 0
+    exp: Experiment,
+    strategy: str,
+    policy: PolicyConfig,
+    prompt_idx: int,
+    grid_idx: int = 0,
+    reference: list[int] | None = None,
 ) -> tuple[DecodeResult, RunSummary, TallyReport]:
+    """Decode one prompt and summarize it; ``reference``, when given, is that run's reference."""
     prompt = exp.prompts[prompt_idx]
     seed = derive_seed(exp.seed, grid_idx, prompt_idx)
     result = exp.run_strategy(strategy, prompt, seed, policy)
-    reference = exp.reference(prompt, seed)
+    if reference is None:
+        reference = exp.reference(prompt, seed)
     tally = exp.tally(result, prompt, strategy)
     summary = summarize(result, tally=tally, reference=reference, eval_model=exp.large)
     return result, summary, tally
@@ -311,13 +318,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {s!r}")
+    # Every strategy runs prompt i with the seed derive_seed(exp.seed, 0, i),
+    # so they share one reference per prompt.
+    references = [exp.reference(p, derive_seed(exp.seed, 0, i)) for i, p in enumerate(exp.prompts)]
     rows = [summary_csv_header() + ",flops,mops,invocations"]
     for strategy in strategies:
         agreements, ppls, fallbacks, rollbacks, speedups = [], [], [], [], []
         flops = mops = 0.0
         invocations = 0
         for i in range(len(exp.prompts)):
-            _, summary, tally = _summaries_for_run(exp, strategy, exp.policy, i)
+            _, summary, tally = _summaries_for_run(exp, strategy, exp.policy, i, reference=references[i])
             agreements.append(summary.agreement_with_reference or 0.0)
             if summary.perplexity_under_model is not None:
                 ppls.append(summary.perplexity_under_model)

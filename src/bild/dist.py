@@ -34,15 +34,19 @@ class ProbDist:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = np.array(self.probs, dtype=np.float64)  # the private copy
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("probability vector must be 1-D and non-empty")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise InvalidInputError("probabilities must be finite and non-negative")
-        total = float(arr.sum())
+        # One reduction each in the common case: a NaN, negative or infinite
+        # entry leaves ``total`` non-finite. Only then does the entry-wise
+        # scan run, to choose the message; a finite vector whose sum
+        # overflows passes it and fails the sum check.
+        total = float(arr.sum()) if arr.min() >= 0.0 else math.nan
+        if not math.isfinite(total):
+            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+                raise InvalidInputError("probabilities must be finite and non-negative")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise InvalidInputError(f"probabilities must sum to 1, got {total!r}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

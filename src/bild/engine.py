@@ -20,6 +20,13 @@ Budget semantics: drafting is bounded by the window cap, not by
 ``max_len``; the final sequence is truncated to ``max_len`` after the run.
 Termination happens when the committed sequence ends with end-of-sequence
 or reaches ``max_len``.
+
+Working sequence: each loop keeps one ``vocab.TokenSequence``, seeded with
+the prompt, which is validated once there. Every draft, replacement and
+bonus token is appended to it; a verify truncates it to the prompt plus the
+committed tokens before appending the replacement. Models are called with
+that object, so they skip revalidating it, and a step's cost does not grow
+with the sequence's length.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from .trace import (
     SmallStep,
     TraceEvent,
 )
+from .vocab import TokenSequence
 
 NO_ROLLBACK = "no_rollback"
 FIXED_WINDOW_VARIANT = "fixed_window"
@@ -61,7 +69,7 @@ class GenerationState:
     ``committed`` tokens are final (with their provenance); ``pending``
     tokens were drafted by the small model and await verification, each
     stored with the exact distribution it was sampled from. The committed
-    and pending tokens, in order, form the current working sequence.
+    and pending tokens, in order, follow the prompt in the working sequence.
     """
 
     committed: list[tuple[int, str]] = field(default_factory=list)
@@ -69,9 +77,6 @@ class GenerationState:
 
     def working_length(self) -> int:
         return len(self.committed) + len(self.pending)
-
-    def tokens(self) -> list[int]:
-        return [t for t, _ in self.committed] + [t for t, _ in self.pending]
 
 
 def _require_shared_vocabulary(small: LanguageModel, large: LanguageModel) -> None:
@@ -82,10 +87,11 @@ def _require_shared_vocabulary(small: LanguageModel, large: LanguageModel) -> No
         )
 
 
-def _validate_run_args(model: LanguageModel, prompt: Sequence[int], max_len: int) -> None:
+def _working_sequence(model: LanguageModel, prompt: Sequence[int], max_len: int) -> TokenSequence:
+    """Check the run's arguments; the working sequence, seeded with the prompt."""
     if max_len < 1:
         raise InvalidInputError("max_len must be >= 1")
-    model.vocabulary.validate_sequence(prompt)
+    return TokenSequence(prompt, model.vocabulary)
 
 
 class _Run:
@@ -137,11 +143,10 @@ def vanilla_decode(
     max_len: int,
 ) -> DecodeResult:
     """Plain autoregressive decoding: one model call per emitted token."""
-    _validate_run_args(model, prompt, max_len)
+    context = _working_sequence(model, prompt, max_len)
     eos = model.vocabulary.eos
     run = _Run(sampler.seed)
     committed: list[tuple[int, str]] = []
-    context = list(prompt)
     while len(committed) < max_len:
         dist = model.score_next(context)
         run.small_calls += 1
@@ -182,11 +187,11 @@ def _collaborate(
     bonus token when m == k.
     """
     _require_shared_vocabulary(small, large)
-    _validate_run_args(small, prompt, max_len)
+    working = _working_sequence(small, prompt, max_len)
+    base = len(working)  # the prompt's length
     eos = small.vocabulary.eos
     run = _Run(seed)
     state = GenerationState()
-    prompt = list(prompt)
 
     def handover(reason: str) -> None:
         run.trace.append(Fallback(state.working_length(), reason))
@@ -197,7 +202,7 @@ def _collaborate(
         first = len(state.committed)
         # k+1 distributions: one per pending position plus the next position,
         # all from a single parallel scoring pass over the working sequence.
-        dists = large.score_range(prompt + state.tokens(), len(prompt) + first)
+        dists = large.score_range(working, base + first)
         run.trace.append(
             LargeVerify(
                 positions=tuple(range(first, first + k)),
@@ -209,6 +214,8 @@ def _collaborate(
         if m < k:
             replacement = draw(pending, dists, m, run.rng)
             run.trace.append(undo(len(state.committed), k - m, replacement))
+            working.truncate(base + len(state.committed))
+            working.append(replacement)
             state.committed.append((replacement, LARGE))
             run.rollback_count += 1
             run.tokens_discarded += k - m
@@ -216,6 +223,7 @@ def _collaborate(
             token = draw(pending, dists, k, run.rng)
             run.trace.append(LargeAppend(len(state.committed), token))
             state.committed.append((token, LARGE))
+            working.append(token)
         pending.clear()
 
     while True:
@@ -226,7 +234,7 @@ def _collaborate(
         if len(state.pending) >= draft_cap:
             handover(WINDOW_CAP)
             continue
-        small_dist = small.score_next(prompt + state.tokens())
+        small_dist = small.score_next(working)
         run.small_calls += 1
         if fallback is not None and fallback(small_dist):
             handover(LOW_CONFIDENCE)
@@ -234,6 +242,7 @@ def _collaborate(
         token = sample(small_dist, sampler, run.rng)
         run.trace.append(SmallStep(state.working_length(), token, small_dist.max_prob()))
         state.pending.append((token, small_dist))
+        working.append(token)
         if token == eos:
             if eos_reason is not None:
                 handover(eos_reason)
@@ -300,11 +309,10 @@ def oracle_blend_decode(
     if not 0.0 <= likelihood_threshold <= 1.0:
         raise InvalidInputError("likelihood_threshold must lie in [0, 1]")
     _require_shared_vocabulary(small, large)
-    _validate_run_args(small, prompt, max_len)
+    context = _working_sequence(small, prompt, max_len)
     eos = small.vocabulary.eos
     run = _Run(sampler.seed)
     committed: list[tuple[int, str]] = []
-    context = list(prompt)
     replaced = 0
     while len(committed) < max_len:
         small_dist = small.score_next(context)

@@ -13,6 +13,12 @@ of one weight load. Element ``i`` of ``score_range(y, start)`` is
 call ``score_range(working, b)`` returning ``k + 1`` distributions. Only
 the positions asked for are scored, mirroring an incremental (KV-cached)
 verify. ``score_all(y)`` is ``score_range(y, 1)``: every non-empty prefix.
+
+Scoring validates its tokens. A plain sequence is walked on every call,
+which costs O(len(y)) per call. A ``vocab.TokenSequence`` was validated
+once, as each token entered it, and passes at once; the decode loops hold
+their working sequence as one, so a step's cost does not grow with the
+sequence's length.
 """
 
 from __future__ import annotations

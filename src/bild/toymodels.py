@@ -169,9 +169,11 @@ class NgramLM(LanguageModel):
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         self._check_range(sequence, start)
         width = self.order - 1
-        padded = (BOS,) * width + tuple(sequence)
-        # The context of prefix sequence[:m] is padded[m : m + width].
-        return [self._row(padded[m : m + width]) for m in range(start, len(sequence) + 1)]
+        # Pad only the tail the contexts read: sequence[start - width:] on.
+        lo = max(0, start - width)
+        padded = (BOS,) * width + tuple(sequence[lo:])
+        # The context of prefix sequence[:m] is padded[m - lo : m - lo + width].
+        return [self._row(padded[m - lo : m - lo + width]) for m in range(start, len(sequence) + 1)]
 
     def _row(self, ctx: tuple[int, ...]) -> ProbDist:
         """The smoothed distribution after ``ctx``: unseen tokens share one value."""
@@ -201,10 +203,19 @@ class NgramLM(LanguageModel):
             vocabulary = Vocabulary(size=size, eos=field(data, "eos", int, ""))
         elif vocabulary.size != size:
             raise InvalidInputError("vocabulary size does not match the n-gram document")
-        try:
-            counts = {(tuple(ctx), tok): c for ctx, tok, c in field(data, "counts", list, "")}
-        except (TypeError, ValueError):  # an entry that is not three values, or unhashable
-            raise InvalidInputError("counts: each entry must be [context ids, token id, count]") from None
+        counts: dict[tuple[tuple[int, ...], int], int] = {}
+        for entry in field(data, "counts", list, ""):
+            try:
+                ctx, tok, c = entry
+                key = (tuple(ctx), tok)
+                repeated = key in counts
+            except (TypeError, ValueError):  # an entry that is not three values, or unhashable
+                raise InvalidInputError("counts: each entry must be [context ids, token id, count]") from None
+            if repeated:
+                raise InvalidInputError(
+                    f"counts: entry {entry!r} repeats the context and token of an earlier entry"
+                )
+            counts[key] = c
         return cls(vocabulary, field(data, "order", int, ""), field(data, "smoothing", float, ""), counts)
 
     def save(self, path: str | Path) -> None:

@@ -47,6 +47,9 @@ class Vocabulary:
             raise InvalidInputError(f"token id {token!r} out of range [0, {self.size})")
 
     def validate_sequence(self, tokens: Iterable[int]) -> None:
+        """Check every id; a ``TokenSequence`` checked against no larger a size passes at once."""
+        if isinstance(tokens, TokenSequence) and tokens.size <= self.size:
+            return
         for t in tokens:
             self.validate_token(t)
 
@@ -76,6 +79,46 @@ class Vocabulary:
     def compatible_with(self, other: "Vocabulary") -> bool:
         """Whether two models over these vocabularies can be paired."""
         return self.size == other.size and self.eos == other.eos
+
+
+class TokenSequence(Sequence[int]):
+    """A token sequence whose ids were each checked once, when they entered it.
+
+    The constructor validates its tokens against ``vocabulary``, ``append``
+    validates the one token it adds and ``truncate`` drops a tail, so every
+    id held is in ``0..size-1``. It is otherwise read-only; iteration and
+    slicing return the underlying list's, at C speed.
+    """
+
+    __slots__ = ("_tokens", "_vocabulary")
+
+    def __init__(self, tokens: Iterable[int], vocabulary: Vocabulary) -> None:
+        self._tokens = list(tokens)
+        # a TokenSequence argument can skip the walk; the list copied from it cannot
+        vocabulary.validate_sequence(tokens if isinstance(tokens, TokenSequence) else self._tokens)
+        self._vocabulary = vocabulary
+
+    @property
+    def size(self) -> int:
+        """The vocabulary size every id was checked against."""
+        return self._vocabulary.size
+
+    def append(self, token: int) -> None:
+        self._vocabulary.validate_token(token)
+        self._tokens.append(token)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first ``n`` tokens."""
+        del self._tokens[n:]
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __getitem__(self, index):
+        return self._tokens[index]
+
+    def __iter__(self):
+        return iter(self._tokens)
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bild import Sampler, fit_ngram, save_corpus, vanilla_decode
-from bild.cli import main
+from bild.cli import STRATEGIES, Experiment, derive_seed, main
 from bild.synthetic import VOCAB, two_phrasing_task
 
 
@@ -186,6 +186,23 @@ def test_compare_bild_cheaper_than_fixed_window_at_matched_agreement(workspace):
     bild, fixed = rows["bild"], rows["ablation_fixed_window"]
     assert float(bild["agreement"]) >= float(fixed["agreement"])
     assert float(bild["mops"]) < float(fixed["mops"])
+
+
+def test_compare_decodes_one_reference_per_prompt(workspace, monkeypatch):
+    tmp_path, config_path, config, task = workspace
+    config["sampler"] = {"kind": "nucleus", "p": 0.9}
+    config_path.write_text(json.dumps(config))
+    calls = []
+    reference = Experiment.reference
+
+    def counted(exp, prompt, seed):
+        calls.append((next(i for i, p in enumerate(exp.prompts) if p is prompt), seed))
+        return reference(exp, prompt, seed)
+
+    monkeypatch.setattr(Experiment, "reference", counted)
+    assert main(["compare", "--config", str(config_path), "--strategies", ",".join(STRATEGIES)]) == 0
+    n = len(task.eval_prompts)
+    assert calls == [(i, derive_seed(0, 0, i)) for i in range(n)]
 
 
 def test_compare_needs_two_strategies(workspace):

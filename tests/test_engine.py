@@ -465,3 +465,51 @@ def test_commit_overshoot_is_truncated(vocab3, golden_pair):
     assert result.sequence == [A, A]
     assert len(result.provenance) == 2
     assert replay_trace(result.trace, 2) == result.sequence
+
+
+# validation cost: each token is checked once, when it enters the working sequence
+
+LONG = 512
+
+
+@pytest.fixture(scope="module")
+def long_pair():
+    """Bigram small and trigram large models whose corpus never ends, so decodes run to LONG."""
+    rng = random.Random(7)
+    vocab = Vocabulary(size=6, eos=5)
+    corpus = []
+    for _ in range(4):
+        seq = [0]
+        for _ in range(200):  # mostly t -> 2t + 1 mod 5, so both models are often confident
+            seq.append((2 * seq[-1] + 1) % 5 if rng.random() < 0.7 else rng.randrange(5))
+        corpus.append(seq)
+    return vocab, fit_ngram(corpus, 2, 1e-3, vocab), fit_ngram(corpus, 3, 1e-3, vocab)
+
+
+LONG_DECODERS = {
+    "bild": lambda s, l, p: bild_decode(
+        s, l, PolicyConfig(alpha_fb=0.5, alpha_rb=1.0, window_cap=6), Sampler.nucleus(0.9, seed=1), p, LONG
+    ),
+    "speculative": lambda s, l, p: speculative_decode(s, l, SpecConfig(window=4, seed=1), p, LONG),
+    "vanilla": lambda s, l, p: vanilla_decode(l, p, Sampler.nucleus(0.9, seed=1), LONG),
+    "oracle_blend": lambda s, l, p: oracle_blend_decode(s, l, 0.2, Sampler.nucleus(0.9, seed=1), p, LONG)[0],
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(LONG_DECODERS))
+def test_each_token_is_validated_once(long_pair, strategy, monkeypatch):
+    _, small, large = long_pair
+    prompt = [0, 1, 2, 3, 4, 0, 1, 2]
+    calls = [0]
+    validate = Vocabulary.validate_token
+
+    def counted(self, token):
+        calls[0] += 1
+        return validate(self, token)
+
+    monkeypatch.setattr(Vocabulary, "validate_token", counted)
+    result = LONG_DECODERS[strategy](small, large, prompt)
+    assert len(result.sequence) == LONG
+    assert calls[0] <= len(prompt) + len(result.trace)
+    if strategy in ("bild", "speculative"):
+        assert result.counters.rollback_count > 0  # truncation was exercised

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bild import InvalidInputError, Vocabulary, fit_ngram
 from bild.toymodels import BOS
+from bild.vocab import TokenSequence
 from conftest import make_table, random_corpus
 
 
@@ -181,3 +182,69 @@ def test_vocabulary_validation():
         Vocabulary(size=3, eos=3)
     with pytest.raises(InvalidInputError):
         Vocabulary(size=3, eos=0, tokens=("a", "b"))
+
+
+def _scorers(vocab5):
+    rng = random.Random(6)
+    ngram = fit_ngram(random_corpus(rng, vocab5, 6), 3, 0.5, vocab5)
+    return ngram, make_table(vocab5, default=[0.2] * 5)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2.0, np.int64(1)])
+def test_scoring_rejects_bad_ids_in_a_plain_sequence(vocab5, bad):
+    for model in _scorers(vocab5):
+        for seq in ([bad], [0, 1, bad], (2, bad, 3)):
+            with pytest.raises(InvalidInputError, match="token id"):
+                model.score_next(seq)
+            with pytest.raises(InvalidInputError, match="token id"):
+                model.score_range(seq, len(seq))
+
+
+def _count_validations(monkeypatch) -> list[int]:
+    calls = [0]
+    validate = Vocabulary.validate_token
+
+    def counted(self, token):
+        calls[0] += 1
+        return validate(self, token)
+
+    monkeypatch.setattr(Vocabulary, "validate_token", counted)
+    return calls
+
+
+def test_token_sequence_is_checked_once(vocab5, monkeypatch):
+    seq = TokenSequence([0, 1, 2], vocab5)
+    models = _scorers(vocab5)
+    calls = _count_validations(monkeypatch)
+    for model in models:
+        model.score_next(seq)
+        model.score_range(seq, 0)
+    assert calls[0] == 0
+    seq.append(3)
+    assert calls[0] == 1
+    assert list(seq) == [0, 1, 2, 3] and seq[1:] == [1, 2, 3] and len(seq) == 4
+    seq.truncate(1)
+    assert list(seq) == [0]
+
+
+def test_token_sequence_from_a_larger_vocabulary_is_walked(vocab5, monkeypatch):
+    wide = Vocabulary(size=8, eos=7)
+    for model in _scorers(vocab5):
+        with pytest.raises(InvalidInputError, match="token id 6 out of range"):
+            model.score_next(TokenSequence([0, 6], wide))
+        with pytest.raises(InvalidInputError, match="token id 5 out of range"):
+            model.score_range(TokenSequence([5, 1], wide), 1)
+    ngram = _scorers(vocab5)[0]
+    calls = _count_validations(monkeypatch)
+    ngram.score_range(TokenSequence([0, 1, 2], wide), 3)
+    assert calls[0] == 3 + 3  # once when built, once walked by the smaller model
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2.0, np.int64(1), "1"])
+def test_token_sequence_rejects_bad_ids(vocab5, bad):
+    with pytest.raises(InvalidInputError, match="token id"):
+        TokenSequence([0, bad], vocab5)
+    seq = TokenSequence([0], vocab5)
+    with pytest.raises(InvalidInputError, match="token id"):
+        seq.append(bad)
+    assert list(seq) == [0]

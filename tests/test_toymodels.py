@@ -18,6 +18,7 @@ from bild import (
     generate_corpus,
 )
 from bild.toymodels import BOS, load_table_lm, save_table_lm
+from bild.vocab import TokenSequence
 from conftest import make_table, random_corpus
 
 
@@ -116,6 +117,21 @@ def test_ngram_document_rejects_bad_counts_at_load(counts, match):
         NgramLM.from_json_dict(doc)
 
 
+def test_ngram_document_rejects_a_repeated_entry():
+    counts = [[[A], B, 5], [[B], A, 1], [[A], B, 2]]
+    doc = {"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts}
+    with pytest.raises(InvalidInputError, match=re.escape("counts: entry [[0], 1, 2] repeats")):
+        NgramLM.from_json_dict(doc)
+
+
+def test_ngram_load_names_file_and_repeated_entry(tmp_path):
+    path = tmp_path / "model.json"
+    counts = [[[A], B, 5], [[A], B, 5]]
+    path.write_text(json.dumps({"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts}))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: counts: entry"):
+        NgramLM.load(path)
+
+
 @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0, -1.0])
 def test_ngram_rejects_bad_smoothing_at_construction(vocab3, smoothing):
     with pytest.raises(InvalidInputError, match="smoothing"):
@@ -144,6 +160,26 @@ def test_fit_counts_equal_naive_window_count(corpus, order):
             key = (tuple(padded[i : i + order - 1]), padded[i + order - 1])
             naive[key] = naive.get(key, 0) + 1
     assert model.counts == naive
+
+
+@given(
+    corpus=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), min_size=1, max_size=5),
+    order=st.integers(1, 4),
+    seq=st.lists(st.integers(0, 3), max_size=12),
+    data=st.data(),
+)
+def test_score_range_rows_equal_full_padding_formula(corpus, order, seq, data):
+    vocab = Vocabulary(size=4, eos=3)
+    model = fit_ngram(corpus, order, 0.5, vocab)
+    start = data.draw(st.integers(0, len(seq)))
+    width = order - 1
+    padded = (BOS,) * width + tuple(seq)
+    expected = [model._row(padded[m : m + width]) for m in range(start, len(seq) + 1)]
+    for sequence in (seq, tuple(seq), TokenSequence(seq, vocab)):
+        got = model.score_range(sequence, start)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.probs, e.probs)
 
 
 # corpus generation
