@@ -2,14 +2,8 @@
 verifying model, with fallback/rollback policies, a speculative-sampling
 baseline, deterministic toy models, and an analytical cost model."""
 
-from .dist import PROB_FLOOR, ProbDist, one_hot_dist, uniform_dist
-from .engine import (
-    GenerationState,
-    ablation_decode,
-    bild_decode,
-    oracle_blend_decode,
-    vanilla_decode,
-)
+from .dist import PROB_FLOOR, ProbDist
+from .engine import ablation_decode, bild_decode, oracle_blend_decode, vanilla_decode
 from .errors import (
     BildError,
     ConfigurationError,
@@ -27,7 +21,7 @@ from .costmodel import (
     synthesize_rate_trace,
     tally_trace,
 )
-from .metrics import RunSummary, agreement, common_prefix_len, perplexity, summarize
+from .metrics import RunSummary, agreement, perplexity, summarize
 from .models import LanguageModel
 from .policies import (
     MAX_DISTANCE,
@@ -38,15 +32,7 @@ from .policies import (
 )
 from .sampling import Sampler, sample
 from .speculative import SpecConfig, residual_dist, speculative_decode
-from .toymodels import (
-    CalibrationSet,
-    NgramLM,
-    TableLM,
-    align_small,
-    fit_ngram,
-    generate_calibration,
-    generate_corpus,
-)
+from .toymodels import NgramLM, TableLM, align_small, fit_ngram, generate_corpus
 from .trace import Counters, DecodeResult, load_trace, replay_trace, save_trace
 from .vocab import Vocabulary, load_corpus, load_vocabulary, save_corpus, save_vocabulary
 
@@ -57,11 +43,9 @@ __all__ = [
     "MAX_DISTANCE",
     "PRESETS",
     "BildError",
-    "CalibrationSet",
     "ConfigurationError",
     "Counters",
     "DecodeResult",
-    "GenerationState",
     "InvalidInputError",
     "InvalidTraceError",
     "LanguageModel",
@@ -82,16 +66,13 @@ __all__ = [
     "agreement",
     "align_small",
     "bild_decode",
-    "common_prefix_len",
     "distance",
     "find_rollback_position",
     "fit_ngram",
-    "generate_calibration",
     "generate_corpus",
     "load_corpus",
     "load_trace",
     "load_vocabulary",
-    "one_hot_dist",
     "oracle_blend_decode",
     "perplexity",
     "replay_trace",
@@ -106,6 +87,5 @@ __all__ = [
     "summarize",
     "synthesize_rate_trace",
     "tally_trace",
-    "uniform_dist",
     "vanilla_decode",
 ]

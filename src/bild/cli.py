@@ -148,16 +148,28 @@ class Experiment:
         if not Path(prompts_path).exists():
             raise ConfigurationError(f"prompts file not found: {prompts_path}")
         self.prompts = load_corpus(prompts_path, self.small.vocabulary)
-        self.max_len = getattr(args, "max_len", None) or field(data, "max_len", int, where, 32)
+        max_len = getattr(args, "max_len", None)
+        if max_len is None:
+            self.max_len = _positive(field(data, "max_len", int, where, 32), f"{where} max_len")
+        else:
+            self.max_len = _positive(max_len, "--max-len")
         seed = getattr(args, "seed", None)
         self.seed = field(data, "seed", int, where, 0) if seed is None else seed
-        self.strategy = getattr(args, "strategy", None) or field(data, "strategy", str, where, "bild")
+        strategy = getattr(args, "strategy", None)
+        self.strategy = field(data, "strategy", str, where, "bild") if strategy is None else strategy
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        self.out_dir = Path(getattr(args, "out", None) or field(data, "out_dir", str, where, "out"))
-        self.speculative_window = field(data, "speculative_window", int, where, 4)
+        out = getattr(args, "out", None)
+        self.out_dir = Path(field(data, "out_dir", str, where, "out") if out is None else out)
+        self.speculative_window = _positive(
+            field(data, "speculative_window", int, where, 4), f"{where} speculative_window"
+        )
         self.blend_threshold = field(data, "blend_threshold", float, where, 0.5)
-        self.fixed_window_k = field(data, "fixed_window_k", int, where, 3)
+        if not 0.0 <= self.blend_threshold <= 1.0:
+            raise ConfigurationError(
+                f"{where} blend_threshold: must lie in [0, 1], got {self.blend_threshold!r}"
+            )
+        self.fixed_window_k = _positive(field(data, "fixed_window_k", int, where, 3), f"{where} fixed_window_k")
         cost, where = field(data, "cost", dict, where, {}), f"{config_path}: cost"
         self.small_desc = _resolve_descriptor(cost.get("small", "t5-small"), f"{where}.small")
         self.large_desc = _resolve_descriptor(cost.get("large", "t5-large"), f"{where}.large")
@@ -193,6 +205,12 @@ class Experiment:
             max_len=self.max_len,
             peaks=self.peaks,
         )
+
+
+def _positive(value: int, where: str) -> int:
+    if value < 1:
+        raise ConfigurationError(f"{where}: must be >= 1, got {value}")
+    return value
 
 
 def _resolve_descriptor(spec: object, where: str) -> ModelDescriptor:

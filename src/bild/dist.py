@@ -71,22 +71,6 @@ class ProbDist:
         return f"ProbDist({self.to_list()})"
 
 
-def uniform_dist(size: int) -> ProbDist:
-    """The uniform distribution over ``size`` tokens."""
-    if size < 1:
-        raise InvalidInputError("size must be >= 1")
-    return ProbDist(np.full(size, 1.0 / size))
-
-
-def one_hot_dist(size: int, token: int) -> ProbDist:
-    """A distribution putting all mass on ``token``."""
-    if not 0 <= token < size:
-        raise InvalidInputError(f"token {token} out of range for size {size}")
-    arr = np.zeros(size)
-    arr[token] = 1.0
-    return ProbDist(arr)
-
-
 def floored_log(p: float) -> float:
     """``ln(p)`` with the probability clamped to ``PROB_FLOOR`` first."""
     return math.log(max(p, PROB_FLOOR))

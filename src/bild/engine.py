@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 from .dist import ProbDist
 from .errors import InvalidInputError, VocabularyMismatchError
 from .models import LanguageModel
-from .policies import CONFIDENCE, PolicyConfig, distance, find_rollback_position, should_fallback
+from .policies import PolicyConfig, distance, find_rollback_position, should_fallback
 from .sampling import Sampler, sample
 from .trace import (
     FORCED,
@@ -264,12 +264,11 @@ def bild_decode(
     """Collaborative decode: small model drafts, large model verifies.
 
     The small model drafts until its max probability falls below
-    ``alpha_fb`` (confidence mode) or ``config.draft_cap`` drafts are
-    pending. A rollback discards drafts from the first position whose
-    distance exceeds ``alpha_rb`` and commits the large model's replacement
-    there; otherwise the large model appends one token. A drafted
-    end-of-sequence token ends the run unverified unless
-    ``config.verify_eos`` is set.
+    ``alpha_fb`` or ``config.window_cap`` drafts are pending. A rollback
+    discards drafts from the first position whose distance exceeds
+    ``alpha_rb`` and commits the large model's replacement there; otherwise
+    the large model appends one token. A drafted end-of-sequence token ends
+    the run unverified unless ``config.verify_eos`` is set.
     """
 
     # The rules look ``should_fallback``, ``find_rollback_position`` and
@@ -279,11 +278,10 @@ def bild_decode(
         m = find_rollback_position([t for t, _ in pending], dists[:-1], config)
         return len(pending) if m is None else m
 
-    confidence = config.fallback_mode == CONFIDENCE
     return _collaborate(
         small, large, prompt, max_len, sampler, sampler.seed,
-        draft_cap=config.draft_cap,
-        fallback=(lambda dist: should_fallback(dist, config)) if confidence else None,
+        draft_cap=config.window_cap,
+        fallback=lambda dist: should_fallback(dist, config),
         eos_reason=FORCED if config.verify_eos else None,
         accept=keep,
         draw=lambda pending, dists, m, rng: sample(dists[m], sampler, rng),
@@ -347,16 +345,16 @@ def ablation_decode(
     *,
     k: int | None = None,
 ) -> DecodeResult:
-    """Run a policy-ablated collaborative decode.
+    """Run a policy-ablated collaborative decode: ``bild_decode`` at other thresholds.
 
     ``"no_rollback"`` keeps the fallback rule but never discards verified
-    drafts; ``"fixed_window"`` replaces the confidence rule with an
-    unconditional handover after exactly ``k`` drafts (rollback retained).
+    drafts (``alpha_rb = MAX_DISTANCE``); ``"fixed_window"`` replaces the
+    confidence rule with an unconditional handover after exactly ``k``
+    drafts (``alpha_fb = 0``, ``window_cap = k``; rollback retained).
     """
     if variant == NO_ROLLBACK:
         return bild_decode(small, large, config.without_rollback(), sampler, prompt, max_len)
     if variant == FIXED_WINDOW_VARIANT:
-        k = k if k is not None else config.fixed_window_k
         if k is None:
             raise InvalidInputError("fixed_window ablation requires k")
         return bild_decode(small, large, config.with_fixed_window(k), sampler, prompt, max_len)

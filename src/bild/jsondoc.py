@@ -1,8 +1,9 @@
 """Typed reading of JSON documents: configs, descriptors, n-gram files, traces.
 
 Nothing is coerced, except that an integer is widened where a number is
-declared. Errors name the location, e.g. ``policy.alpha_fb``; a document's
-root may be written ``"<path>:"`` so its fields read ``c.json: max_len``.
+declared. A dataclass document holds only its fields; any other key raises.
+Errors name the location, e.g. ``policy.alpha_fb``; a document's root may
+be written ``"<path>:"`` so its fields read ``c.json: max_len``.
 """
 
 from __future__ import annotations
@@ -64,9 +65,16 @@ def _fields(cls: type) -> tuple[tuple[str, Any, Any], ...]:
 
 
 def read_dataclass(cls: type, doc: Any, where: str) -> Any:
-    """``cls`` read field by field from the object ``doc``; absent keys take the field defaults."""
+    """``cls`` read field by field from the object ``doc``; absent keys take the field
+    defaults, and a key that names no field raises."""
     doc = check(doc, dict, where)
-    values = {name: field(doc, name, kind, where, default) for name, kind, default in _fields(cls)}
+    fields = _fields(cls)
+    names = {name for name, _, _ in fields}
+    for key in doc:
+        if key not in names:
+            # not ``_error``, whose strip of a root's ':' would eat a key's own
+            raise InvalidInputError(f"{_at(where, key)}: unknown field")
+    values = {name: field(doc, name, kind, where, default) for name, kind, default in fields}
     try:
         return cls(**values)
     except InvalidInputError as e:

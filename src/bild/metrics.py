@@ -47,16 +47,6 @@ def agreement(candidate: Sequence[int], reference: Sequence[int]) -> float:
     return matches / n
 
 
-def common_prefix_len(candidate: Sequence[int], reference: Sequence[int]) -> int:
-    """Length of the longest shared prefix."""
-    n = 0
-    for a, b in zip(candidate, reference):
-        if a != b:
-            break
-        n += 1
-    return n
-
-
 def perplexity(model: LanguageModel, sequences: Sequence[Sequence[int]]) -> float:
     """``exp`` of the mean negative log-likelihood per token.
 

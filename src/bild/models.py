@@ -12,7 +12,7 @@ of one weight load. Element ``i`` of ``score_range(y, start)`` is
 ``k`` drafted tokens after a committed prefix of length ``b`` is the single
 call ``score_range(working, b)`` returning ``k + 1`` distributions. Only
 the positions asked for are scored, mirroring an incremental (KV-cached)
-verify. ``score_all(y)`` is ``score_range(y, 1)``: every non-empty prefix.
+verify.
 
 Scoring validates its tokens. A plain sequence is walked on every call,
 which costs O(len(y)) per call. A ``vocab.TokenSequence`` was validated
@@ -56,10 +56,6 @@ class LanguageModel(ABC):
         ``start`` lies outside ``0..len(sequence)`` or a token is out of
         range (``_check_range`` does both).
         """
-
-    def score_all(self, sequence: Sequence[int]) -> list[ProbDist]:
-        """Distributions after each non-empty prefix; raises on an empty sequence."""
-        return self.score_range(sequence, 1)
 
     def _check_range(self, sequence: Sequence[int], start: int) -> None:
         """Validate ``sequence`` once and require ``0 <= start <= len(sequence)``."""

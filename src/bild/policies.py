@@ -8,14 +8,17 @@ cross-entropy distance strictly exceeds ``alpha_rb``.
 
 Both comparisons are strict, so boundary cases keep the small model's
 output. The distance is a negative natural log, floored at ``PROB_FLOOR``
-and therefore bounded by ``MAX_DISTANCE``.
+and therefore bounded by ``MAX_DISTANCE``. So the paper's two ablations
+are points of the threshold space: ``alpha_rb = MAX_DISTANCE`` never rolls
+back, and ``alpha_fb = 0`` never falls back, which leaves only the
+``window_cap`` handover (a fixed window).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,33 +29,26 @@ from .jsondoc import load_json, read_dataclass
 # Largest value the distance metric can take given the probability floor.
 MAX_DISTANCE = -math.log(PROB_FLOOR)
 
-CONFIDENCE = "confidence"
-FIXED_WINDOW = "fixed_window"
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Thresholds and switches steering a collaborative decode run.
+    """Thresholds steering a collaborative decode run.
 
     ``alpha_fb``: fallback threshold on the small model's max probability.
     ``alpha_rb``: rollback threshold on the hard-label distance.
     ``window_cap``: most consecutive small-model tokens before a forced
       handover (10 by default).
-    ``rollback_enabled``: ablation switch; when false, verified drafts are
-      always kept.
-    ``fallback_mode``: ``"confidence"`` (threshold rule) or
-      ``"fixed_window"`` (unconditional handover after ``fixed_window_k``
-      drafts; the confidence rule is disabled).
     ``verify_eos``: when true, a drafted end-of-sequence token triggers a
       verification pass instead of terminating immediately.
+
+    The ablations are settings of these: ``without_rollback()`` sets
+    ``alpha_rb = MAX_DISTANCE``, and ``with_fixed_window(k)`` sets
+    ``alpha_fb = 0`` and ``window_cap = k``.
     """
 
     alpha_fb: float
     alpha_rb: float
     window_cap: int = 10
-    rollback_enabled: bool = True
-    fallback_mode: str = CONFIDENCE
-    fixed_window_k: int | None = None
     verify_eos: bool = False
 
     def __post_init__(self) -> None:
@@ -64,38 +60,17 @@ class PolicyConfig:
             raise InvalidInputError("thresholds must be non-negative")
         if self.window_cap < 1:
             raise InvalidInputError("window_cap must be >= 1")
-        if self.fallback_mode not in (CONFIDENCE, FIXED_WINDOW):
-            raise InvalidInputError(f"unknown fallback_mode {self.fallback_mode!r}")
-        if self.fallback_mode == FIXED_WINDOW:
-            if self.fixed_window_k is None or self.fixed_window_k < 1:
-                raise InvalidInputError("fixed_window mode requires fixed_window_k >= 1")
-
-    @property
-    def draft_cap(self) -> int:
-        """Effective bound on consecutive drafts for the active mode."""
-        if self.fallback_mode == FIXED_WINDOW:
-            return self.fixed_window_k  # type: ignore[return-value]
-        return self.window_cap
 
     def without_rollback(self) -> "PolicyConfig":
-        return replace(self, rollback_enabled=False)
+        """No rollback: no distance exceeds ``MAX_DISTANCE``, and the test is strict."""
+        return replace(self, alpha_rb=MAX_DISTANCE)
 
     def with_fixed_window(self, k: int) -> "PolicyConfig":
-        return replace(self, fallback_mode=FIXED_WINDOW, fixed_window_k=k)
+        """A handover after exactly ``k`` drafts: no max probability is below 0."""
+        return replace(self, alpha_fb=0.0, window_cap=k)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "alpha_fb": self.alpha_fb,
-            "alpha_rb": self.alpha_rb,
-            "window_cap": self.window_cap,
-            "rollback_enabled": self.rollback_enabled,
-            "fallback_mode": self.fallback_mode,
-        }
-        if self.fallback_mode == FIXED_WINDOW:
-            out["fixed_window_k"] = self.fixed_window_k
-        if self.verify_eos:
-            out["verify_eos"] = True
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolicyConfig":
@@ -111,8 +86,6 @@ class PolicyConfig:
 
 def should_fallback(small_dist: ProbDist, config: PolicyConfig) -> bool:
     """True iff the small model's max probability is strictly below alpha_fb."""
-    if config.fallback_mode != CONFIDENCE:
-        raise InvalidInputError("confidence fallback queried in fixed_window mode")
     return small_dist.max_prob() < config.alpha_fb
 
 
@@ -140,12 +113,10 @@ def find_rollback_position(
     ``large_dists[i]`` must be the large model's distribution for the
     position at which ``pending_tokens[i]`` was emitted (conditioned on
     everything strictly before it). Returns ``None`` when no position
-    violates the threshold or when rollback is disabled.
+    violates the threshold; with ``alpha_rb = MAX_DISTANCE`` none does.
     """
     if len(pending_tokens) != len(large_dists):
         raise InvalidInputError("pending tokens and distributions must align")
-    if not config.rollback_enabled:
-        return None
     for i, (token, dist) in enumerate(zip(pending_tokens, large_dists)):
         if distance(token, dist) > config.alpha_rb:
             return i

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -253,19 +252,6 @@ def fit_ngram(
     return NgramLM(vocabulary, order, smoothing, counts)
 
 
-@dataclass(frozen=True)
-class CalibrationSet:
-    """Input prefixes paired with the large model's greedy outputs."""
-
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def outputs(self) -> list[list[int]]:
-        return [list(out) for _, out in self.pairs]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def generate_corpus(
     model: LanguageModel,
     prompts: Sequence[Sequence[int]],
@@ -288,20 +274,6 @@ def generate_corpus(
     return outputs
 
 
-def generate_calibration(
-    large: LanguageModel,
-    prompts: Sequence[Sequence[int]],
-    max_len: int,
-) -> CalibrationSet:
-    """Greedy large-model outputs for each prompt, as alignment targets."""
-    if len(prompts) == 0:
-        raise InvalidInputError("prompt list must be non-empty")
-    outputs = generate_corpus(large, prompts, Sampler.greedy(), max_len)
-    return CalibrationSet(
-        pairs=tuple((tuple(p), tuple(o)) for p, o in zip(prompts, outputs))
-    )
-
-
 def align_small(
     large: LanguageModel,
     prompts: Sequence[Sequence[int]],
@@ -311,8 +283,10 @@ def align_small(
 ) -> NgramLM:
     """Refit a small n-gram model on the large model's greedy generations.
 
-    The calibration set is deterministic; rebuild it with
-    ``generate_calibration`` for inspection.
+    The generations are deterministic; ``generate_corpus(large, prompts,
+    Sampler.greedy(), max_len)`` rebuilds them for inspection.
     """
-    calibration = generate_calibration(large, prompts, max_len)
-    return fit_ngram(calibration.outputs(), order, smoothing, large.vocabulary)
+    if len(prompts) == 0:
+        raise InvalidInputError("prompt list must be non-empty")
+    outputs = generate_corpus(large, prompts, Sampler.greedy(), max_len)
+    return fit_ngram(outputs, order, smoothing, large.vocabulary)

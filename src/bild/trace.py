@@ -117,10 +117,11 @@ def event_to_json_dict(event: TraceEvent) -> dict:
 def event_from_json_dict(data: dict) -> TraceEvent:
     """Parse one event; raises ``InvalidTraceError`` on any malformed document."""
     try:
-        tag = check(check(data, dict, "").get("event"), str, "event")
+        fields = dict(check(data, dict, ""))
+        tag = check(fields.pop("event", None), str, "event")
         if tag not in _TAG_TYPES:
             raise InvalidInputError(f"unknown trace event tag {tag!r}")
-        return read_dataclass(_TAG_TYPES[tag], data, tag)
+        return read_dataclass(_TAG_TYPES[tag], fields, tag)
     except InvalidInputError as e:
         raise InvalidTraceError(str(e)) from None
 

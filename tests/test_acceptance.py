@@ -116,8 +116,9 @@ def test_criterion_3_randomized_trace_invariants():
             alpha_fb=rng.choice([0.2, 0.4, 0.6, 0.8]),
             alpha_rb=rng.choice([0.5, 1.0, 2.0, 5.0]),
             window_cap=rng.choice([1, 2, 3, 5, 10]),
-            rollback_enabled=rng.random() < 0.85,
         )
+        if rng.random() >= 0.85:
+            config = config.without_rollback()
         prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
         max_len = rng.randint(1, 15)
         variant = rng.choice(["bild", "bild", "bild", "no_rollback", "fixed_window"])
@@ -138,7 +139,7 @@ def test_criterion_3_randomized_trace_invariants():
         for i, event in enumerate(result.trace):
             if isinstance(event, SmallStep):
                 consecutive += 1
-                assert consecutive <= effective.draft_cap
+                assert consecutive <= effective.window_cap
             elif isinstance(event, Fallback):
                 consecutive = 0
             elif isinstance(event, Rollback):

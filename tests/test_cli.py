@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from bild import Sampler, fit_ngram, save_corpus, vanilla_decode
+from bild import PolicyConfig, Sampler, fit_ngram, save_corpus, vanilla_decode
 from bild.cli import STRATEGIES, Experiment, derive_seed, main
 from bild.synthetic import VOCAB, two_phrasing_task
 
@@ -35,6 +38,33 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config, indent=2))
     return tmp_path, config_path, config, task
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_loads(workspace):
+    """The README's experiment config is valid under the strict readers."""
+    tmp_path, _, _, _ = workspace
+    [block] = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    example = json.loads(block)
+    config = json.loads(block)
+    for role in ("small_model", "large_model"):
+        for key in ("path", "vocab"):
+            config[role][key] = str(tmp_path / config[role][key])
+    config["prompts"] = str(tmp_path / config["prompts"])
+    config["out_dir"] = str(tmp_path / config["out_dir"])
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(config))
+    exp = Experiment(str(path), argparse.Namespace())
+    assert exp.policy == PolicyConfig(**example["policy"])
+    assert exp.sampler == Sampler(**example["sampler"])
+    assert (exp.max_len, exp.seed, exp.strategy) == (example["max_len"], example["seed"], example["strategy"])
+    assert (exp.speculative_window, exp.fixed_window_k, exp.blend_threshold) == (
+        example["speculative_window"],
+        example["fixed_window_k"],
+        example["blend_threshold"],
+    )
 
 
 def test_decode_writes_trace_and_summaries(workspace, capsys):
@@ -310,7 +340,7 @@ def test_flag_overrides(workspace):
 
 
 BAD_CONFIGS = {
-    "rollback_enabled_string": (("policy", "rollback_enabled"), "false", "policy.rollback_enabled"),
+    "verify_eos_string": (("policy", "verify_eos"), "false", "policy.verify_eos"),
     "max_len_fraction": (("max_len",), 7.9, "max_len"),
     "max_len_string": (("max_len",), "abc", "max_len"),
     "seed_string": (("seed",), "12", "seed"),
@@ -320,7 +350,28 @@ BAD_CONFIGS = {
     "sweep_grid_number": (("sweep",), {"alpha_fb": 3}, "sweep.alpha_fb"),
     "cost_descriptor_number": (("cost",), {"small": 5}, "cost.small"),
     "prompts_number": (("prompts",), 5, "prompts"),
+    "policy_rollback_enabled": (("policy", "rollback_enabled"), False, "policy.rollback_enabled"),
+    "policy_fallback_mode": (("policy", "fallback_mode"), "fixed_window", "policy.fallback_mode"),
+    "policy_windowcap": (("policy", "windowcap"), 1, "policy.windowcap"),
+    "sampler_temp": (("sampler", "temp"), 1.3, "sampler.temp"),
+    "cost_small_layer": (
+        ("cost",),
+        {"small": {"layer": 6, "hidden_dim": 512, "ffn_dim": 2048, "decoder_params": 25_000_000}},
+        "cost.small.layer",
+    ),
+    "max_len_zero": (("max_len",), 0, "max_len"),
+    "speculative_window_zero": (("speculative_window",), 0, "speculative_window"),
+    "blend_threshold_above_one": (("blend_threshold",), 2.0, "blend_threshold"),
+    "blend_threshold_negative": (("blend_threshold",), -0.5, "blend_threshold"),
+    "fixed_window_k_zero": (("fixed_window_k",), 0, "fixed_window_k"),
 }
+
+
+def test_max_len_flag_zero_exits_1_naming_the_flag(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    assert main(["decode", "--config", str(config_path), "--max-len", "0"]) == 1
+    _assert_one_error_line(capsys, "--max-len")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_prompt_symbol_exits_1_naming_file_and_line(workspace, capsys):

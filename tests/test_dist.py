@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bild import InvalidInputError, ProbDist, one_hot_dist, uniform_dist
+from bild import InvalidInputError, ProbDist
 from bild.dist import NORMALIZATION_ATOL, PROB_FLOOR, floored_log
 
 
@@ -48,13 +48,6 @@ def test_dist_is_read_only():
     d = ProbDist(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         d.probs[0] = 1.0
-
-
-def test_uniform_and_one_hot():
-    assert uniform_dist(4).to_list() == [0.25, 0.25, 0.25, 0.25]
-    assert one_hot_dist(3, 1).to_list() == [0.0, 1.0, 0.0]
-    with pytest.raises(InvalidInputError):
-        one_hot_dist(3, 3)
 
 
 def test_floored_log():

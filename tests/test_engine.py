@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bild import (
+    MAX_DISTANCE,
     InvalidInputError,
     PolicyConfig,
     Sampler,
@@ -18,7 +21,7 @@ from bild import (
     speculative_decode,
     vanilla_decode,
 )
-from bild.trace import Eos, Fallback, LargeAppend, LargeVerify, Rollback, SmallStep
+from bild.trace import LOW_CONFIDENCE, Eos, Fallback, LargeAppend, LargeVerify, Rollback, SmallStep
 from conftest import make_table, random_model_pair
 
 A, B, EOS = 0, 1, 2
@@ -193,8 +196,9 @@ def run_random(seed: int):
         alpha_fb=rng.choice([0.2, 0.4, 0.6, 0.8]),
         alpha_rb=rng.choice([0.5, 1.0, 2.0, 5.0, 30.0]),
         window_cap=rng.choice([1, 2, 3, 5]),
-        rollback_enabled=rng.random() < 0.8,
     )
+    if rng.random() >= 0.8:
+        config = config.without_rollback()
     prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
     max_len = rng.randint(1, 15)
     result = bild_decode(small, large, config, Sampler.greedy(), prompt, max_len)
@@ -208,7 +212,7 @@ def test_window_cap_invariant():
         for event in result.trace:
             if isinstance(event, SmallStep):
                 consecutive += 1
-                assert consecutive <= config.draft_cap
+                assert consecutive <= config.window_cap
             elif isinstance(event, Fallback):
                 consecutive = 0
 
@@ -293,6 +297,45 @@ def test_call_accounting_invariant():
         assert vanilla.counters.large_calls == 0
         steps = sum(1 for e in blend.trace if isinstance(e, (SmallStep, LargeAppend)))
         assert blend.counters.small_calls == blend.counters.large_calls == steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    alpha_fb=st.floats(0.0, 1.01),
+    alpha_rb=st.floats(0.0, 27.0),
+    k=st.integers(1, 5),
+    kind=st.sampled_from(["greedy", "nucleus", "temperature"]),
+)
+def test_ablation_thresholds_switch_their_rule_off(seed, alpha_fb, alpha_rb, k, kind):
+    """``with_fixed_window(k)`` never falls back on confidence, and
+    ``without_rollback()`` never rolls back, even where the large model puts
+    less than ``PROB_FLOOR`` on a draft (``floor_large`` does on every
+    non-eos token)."""
+    vocab, small, large = random_model_pair(seed)
+    floor_large = make_table(vocab, default=[0.0] * (vocab.size - 1) + [1.0])
+    sampler = {
+        "greedy": Sampler.greedy(),
+        "nucleus": Sampler.nucleus(0.9, seed=seed),
+        "temperature": Sampler.temperature(1.3, seed=seed),
+    }[kind]
+    config = PolicyConfig(alpha_fb=alpha_fb, alpha_rb=alpha_rb, window_cap=k)
+    for verifier in (large, floor_large):
+        fixed = bild_decode(small, verifier, config.with_fixed_window(k), sampler, [], 15)
+        assert not any(isinstance(e, Fallback) and e.reason == LOW_CONFIDENCE for e in fixed.trace)
+        kept = bild_decode(small, verifier, config.without_rollback(), sampler, [], 15)
+        assert not any(isinstance(e, Rollback) for e in kept.trace)
+
+
+def test_without_rollback_keeps_drafts_at_max_distance(vocab3):
+    small = make_table(vocab3, default=[0.9, 0.05, 0.05])
+    large = make_table(vocab3, default=[0.0, 0.0, 1.0])  # no mass on the drafts
+    config = PolicyConfig(alpha_fb=0.5, alpha_rb=0.0, window_cap=2).without_rollback()
+    result = bild_decode(small, large, config, Sampler.greedy(), [], 4)
+    verifies = [e for e in result.trace if isinstance(e, LargeVerify)]
+    assert verifies[0].distances == (MAX_DISTANCE, MAX_DISTANCE)
+    assert result.sequence == [A, A, EOS]
+    assert result.counters.rollback_count == 0
 
 
 def test_identical_models_never_roll_back():

@@ -148,6 +148,7 @@ BAD_TRACE_LINES = {
     "fractional_position": '{"event": "small_step", "position": 1.7, "token": 1, "max_prob": 0.9}',
     "boolean_token": '{"event": "small_step", "position": 1, "token": true, "max_prob": 0.9}',
     "string_positions": '{"event": "large_verify", "positions": "12", "distances": [0.0, 0.0]}',
+    "unknown_key": '{"event": "small_step", "position": 1, "token": 1, "max_prob": 0.9, "prob": 0.9}',
 }
 
 

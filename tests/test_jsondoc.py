@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bild import (
@@ -116,7 +116,6 @@ policies = st.builds(
     alpha_fb=st.floats(0, 2),
     alpha_rb=st.floats(0, 50),
     window_cap=st.integers(1, 64),
-    rollback_enabled=st.booleans(),
     verify_eos=st.booleans(),
 )
 events = st.one_of(
@@ -140,7 +139,9 @@ def _through_json(data: dict) -> dict:
 
 @FUZZ
 @given(
-    policy=policies | st.builds(lambda p, k: p.with_fixed_window(k), policies, st.integers(1, 8)),
+    policy=policies
+    | policies.map(PolicyConfig.without_rollback)
+    | st.builds(lambda p, k: p.with_fixed_window(k), policies, st.integers(1, 8)),
     sampler=st.just(Sampler.greedy())
     | st.builds(Sampler.nucleus, st.floats(0.001, 1.0), seeds)
     | st.builds(Sampler.temperature, st.floats(0.001, 100.0), seeds),
@@ -159,6 +160,24 @@ def test_valid_instances_round_trip(policy, sampler, descriptor, event):
     assert Sampler.from_json_dict(_through_json(sampler.to_json_dict())) == sampler
     assert ModelDescriptor.from_json_dict(_through_json(descriptor.to_json_dict())) == descriptor
     assert event_from_json_dict(_through_json(event_to_json_dict(event))) == event
+
+
+DATACLASS_DOCUMENTS = {
+    "policy": (PolicyConfig.from_json_dict, PolicyConfig(0.6, 2.0).to_json_dict()),
+    "sampler": (Sampler.from_json_dict, Sampler.nucleus(0.9, seed=3).to_json_dict()),
+    "descriptor": (ModelDescriptor.from_json_dict, PRESETS["t5-small"].to_json_dict()),
+    **{doc["event"]: (event_from_json_dict, doc) for doc in map(event_to_json_dict, EVENTS)},
+}
+
+
+@pytest.mark.parametrize("name", list(DATACLASS_DOCUMENTS))
+@settings(max_examples=20, deadline=None)
+@given(key=st.text(min_size=1, max_size=12), value=json_values)
+def test_dataclass_documents_reject_unknown_fields(name, key, value):
+    read, valid = DATACLASS_DOCUMENTS[name]
+    assume(key not in valid)
+    with pytest.raises(BildError, match=f"(^|[ .]){re.escape(key)}: unknown field$"):
+        read({**valid, key: value})
 
 
 @FUZZ

@@ -9,7 +9,6 @@ from bild import (
     Vocabulary,
     agreement,
     bild_decode,
-    common_prefix_len,
     fit_ngram,
     perplexity,
     summarize,
@@ -41,12 +40,6 @@ def test_agreement_empty_vs_nonempty():
 
 def test_agreement_length_mismatch_penalized():
     assert agreement([A, B], [A, B, EOS, EOS]) == 0.5
-
-
-def test_common_prefix_len():
-    assert common_prefix_len([A, B, EOS], [A, B, A]) == 2
-    assert common_prefix_len([B], [A]) == 0
-    assert common_prefix_len([], [A]) == 0
 
 
 def test_perplexity_perfect_model(vocab3):

@@ -29,43 +29,6 @@ def test_score_next_rejects_bad_tokens(vocab3):
         model.score_next([-1])
 
 
-def test_score_all_rejects_empty(vocab3):
-    model = make_table(vocab3, default=[0.7, 0.2, 0.1])
-    with pytest.raises(InvalidInputError):
-        model.score_all([])
-
-
-def test_score_all_single_token_matches_score_next(vocab3):
-    model = make_table(vocab3, default=[0.5, 0.3, 0.2], rows={(0,): [0.1, 0.8, 0.1]})
-    [only] = model.score_all([0])
-    assert only.to_list() == model.score_next([0]).to_list() == [0.1, 0.8, 0.1]
-
-
-def test_score_all_table_example(vocab3):
-    model = make_table(
-        vocab3,
-        default=[0.5, 0.3, 0.2],
-        rows={(): [0.7, 0.2, 0.1], (0,): [0.1, 0.8, 0.1]},
-    )
-    scores = model.score_all([0, 1])
-    assert scores[0].to_list() == [0.1, 0.8, 0.1]
-    assert scores[1].to_list() == [0.5, 0.3, 0.2]  # default row for unlisted prefix
-
-
-def test_score_all_agrees_with_score_next_exactly(vocab5):
-    # random sequences up to length 12 over a 5-token vocabulary
-    rng = random.Random(0)
-    model = fit_ngram(random_corpus(rng, vocab5, 12), 2, 0.5, vocab5)
-    for trial in range(50):
-        n = rng.randint(1, 12)
-        seq = [rng.randrange(5) for _ in range(n)]
-        all_scores = model.score_all(seq)
-        assert len(all_scores) == n
-        for m in range(1, n + 1):
-            expected = model.score_next(seq[:m])
-            assert np.array_equal(all_scores[m - 1].probs, expected.probs)
-
-
 def _assert_range_matches_score_next(model, seq, start):
     got = model.score_range(seq, start)
     expected = [model.score_next(seq[:m]) for m in range(start, len(seq) + 1)]

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from bild import PolicyConfig, Sampler, SpecConfig, bild_decode, speculative_decode
+from bild import MAX_DISTANCE, PolicyConfig, Sampler, SpecConfig, bild_decode, speculative_decode
 from bild.engine import FIXED_WINDOW_VARIANT, NO_ROLLBACK, ablation_decode
 from bild.trace import event_to_json_dict
 from conftest import random_model_pair
@@ -70,7 +70,7 @@ CASES = {
     "bild_nucleus": _bild("nucleus"),
     "bild_temperature": _bild("temperature"),
     "bild_verify_eos": _bild("nucleus", verify_eos=True),
-    "bild_rollback_off": _bild("greedy", rollback_enabled=False),
+    "bild_rollback_off": _bild("greedy", alpha_rb=MAX_DISTANCE),
     "ablation_no_rollback": _ablation(NO_ROLLBACK),
     "ablation_fixed_window": _ablation(FIXED_WINDOW_VARIANT, k=2),
     **{

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -155,19 +158,17 @@ def test_config_validation():
         with pytest.raises(InvalidInputError, match="finite"):
             PolicyConfig(alpha_fb=0.5, alpha_rb=bad)
     with pytest.raises(InvalidInputError):
-        PolicyConfig(alpha_fb=0.5, alpha_rb=1.0, fallback_mode="fixed_window")
+        PolicyConfig(alpha_fb=0.5, alpha_rb=1.0).with_fixed_window(0)
+
+
+def test_config_has_four_fields():
+    assert [f.name for f in fields(PolicyConfig)] == ["alpha_fb", "alpha_rb", "window_cap", "verify_eos"]
 
 
 def test_config_json_roundtrip(tmp_path):
     config = PolicyConfig(alpha_fb=0.7, alpha_rb=3.0, window_cap=10)
     data = config.to_json_dict()
-    assert data == {
-        "alpha_fb": 0.7,
-        "alpha_rb": 3.0,
-        "window_cap": 10,
-        "rollback_enabled": True,
-        "fallback_mode": "confidence",
-    }
+    assert data == {"alpha_fb": 0.7, "alpha_rb": 3.0, "window_cap": 10, "verify_eos": False}
     assert PolicyConfig.from_json_dict(data) == config
     path = tmp_path / "policy.json"
     config.save(path)
@@ -175,15 +176,42 @@ def test_config_json_roundtrip(tmp_path):
 
 
 def test_fixed_window_json_roundtrip():
-    config = PolicyConfig(alpha_fb=0.7, alpha_rb=3.0).with_fixed_window(4)
+    config = PolicyConfig(alpha_fb=0.7, alpha_rb=3.0, verify_eos=True).with_fixed_window(4)
     data = config.to_json_dict()
-    assert data["fallback_mode"] == "fixed_window"
-    assert data["fixed_window_k"] == 4
+    assert data == {"alpha_fb": 0.0, "alpha_rb": 3.0, "window_cap": 4, "verify_eos": True}
     assert PolicyConfig.from_json_dict(data) == config
-    assert config.draft_cap == 4
 
 
-def test_should_fallback_requires_confidence_mode():
-    config = cfg().with_fixed_window(2)
-    with pytest.raises(InvalidInputError):
-        should_fallback(dist(0.5, 0.5), config)
+def test_ablations_are_threshold_settings():
+    config = cfg(alpha_fb=0.7, alpha_rb=3.0, window_cap=6, verify_eos=True)
+    assert config.without_rollback() == cfg(alpha_fb=0.7, alpha_rb=MAX_DISTANCE, window_cap=6, verify_eos=True)
+    assert config.with_fixed_window(2) == cfg(alpha_fb=0.0, alpha_rb=3.0, window_cap=2, verify_eos=True)
+
+
+def test_fixed_window_never_falls_back():
+    config = cfg(alpha_fb=1.01).with_fixed_window(2)
+    for d in (dist(0.5, 0.5), dist(1e-300, 1.0 - 1e-300), dist(1.0, 0.0)):
+        assert should_fallback(d, config) is False
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+def test_without_rollback_never_rolls_back(probs):
+    dists = [dist(p, 1.0 - p) for p in probs]  # includes p = 0, below PROB_FLOOR
+    config = cfg(alpha_rb=0.0).without_rollback()
+    assert find_rollback_position([0] * len(probs), dists, config) is None
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"alpha_fb": 0.5, "alpha_rb": 1.0, "rollback_enabled": False}, "rollback_enabled"),
+        ({"alpha_fb": 0.5, "alpha_rb": 1.0, "fallback_mode": "fixed_window"}, "fallback_mode"),
+        ({"alpha_fb": 0.5, "alpha_rb": 1.0, "fixed_window_k": 3}, "fixed_window_k"),
+        ({"alpha_fb": 0.5, "alpha_rb": 1.0, "windowcap": 1}, "windowcap"),
+    ],
+)
+def test_removed_or_misspelt_keys_fail_at_load(tmp_path, doc, key):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: {key}: unknown field$"):
+        PolicyConfig.load(path)

@@ -14,7 +14,6 @@ from bild import (
     Vocabulary,
     align_small,
     fit_ngram,
-    generate_calibration,
     generate_corpus,
 )
 from bild.toymodels import BOS, load_table_lm, save_table_lm
@@ -258,14 +257,6 @@ def test_align_small_rejects_empty_prompts(vocab3):
     large = make_table(vocab3, default=[0.1, 0.1, 0.8])
     with pytest.raises(InvalidInputError):
         align_small(large, [], 2, 1.0, 8)
-
-
-def test_calibration_set_is_retrievable(vocab3):
-    large = make_table(vocab3, default=[0.05, 0.05, 0.9])
-    cal = generate_calibration(large, [[A], [B]], 8)
-    assert len(cal) == 2
-    assert cal.pairs[0] == ((A,), (EOS,))
-    assert cal.outputs() == [[EOS], [EOS]]
 
 
 # table-model file format
