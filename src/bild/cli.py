@@ -35,7 +35,7 @@ from .engine import (
     oracle_blend_decode,
     vanilla_decode,
 )
-from .errors import BildError, ConfigurationError, VocabularyMismatchError
+from .errors import BildError, ConfigurationError, InvalidInputError, VocabularyMismatchError
 from .jsondoc import check, field, load_json, read_dataclass
 from .metrics import RunSummary, summarize, summary_csv_header, summary_csv_row
 from .models import LanguageModel
@@ -69,7 +69,7 @@ _RUNNERS = {
     ),
     "oracle_blend": lambda exp, prompt, sampler, policy: oracle_blend_decode(
         exp.small, exp.large, exp.blend_threshold, sampler, prompt, exp.max_len
-    )[0],
+    ),
     "ablation_no_rollback": lambda exp, prompt, sampler, policy: ablation_decode(
         NO_ROLLBACK, exp.small, exp.large, policy, sampler, prompt, exp.max_len
     ),
@@ -141,8 +141,15 @@ class Experiment:
         self.small = load_model(field(data, "small_model", dict, where), "small_model")
         self.large = load_model(field(data, "large_model", dict, where), "large_model")
         policy = field(data, "policy", PolicyConfig, where, PolicyConfig(alpha_fb=0.6, alpha_rb=2.0))
-        flags = {key: getattr(args, key, None) for key in ("alpha_fb", "alpha_rb", "window_cap")}
-        self.policy = replace(policy, **{key: v for key, v in flags.items() if v is not None})
+        # one flag at a time: the config's policy is valid, so an error is the flag's
+        for key in ("alpha_fb", "alpha_rb", "window_cap"):
+            value = getattr(args, key, None)
+            if value is not None:
+                try:
+                    policy = replace(policy, **{key: value})
+                except InvalidInputError as e:
+                    raise ConfigurationError(f"--{key.replace('_', '-')}: {e}") from e
+        self.policy = policy
         self.sampler = field(data, "sampler", Sampler, where, Sampler.greedy())
         prompts_path = field(data, "prompts", str, where)
         if not Path(prompts_path).exists():
@@ -174,7 +181,7 @@ class Experiment:
         self.small_desc = _resolve_descriptor(cost.get("small", "t5-small"), f"{where}.small")
         self.large_desc = _resolve_descriptor(cost.get("large", "t5-large"), f"{where}.large")
         peaks = [field(cost, key, float | None, where, None) for key in ("peak_flops", "peak_bandwidth")]
-        self.peaks = RooflinePeaks(*peaks) if all(peaks) else None
+        self.peaks = _peaks(*peaks, f"{where}.", ("peak_flops", "peak_bandwidth"))
 
     def run_strategy(
         self,
@@ -211,6 +218,20 @@ def _positive(value: int, where: str) -> int:
     if value < 1:
         raise ConfigurationError(f"{where}: must be >= 1, got {value}")
     return value
+
+
+def _peaks(
+    flops: float | None, bandwidth: float | None, prefix: str, names: tuple[str, str]
+) -> RooflinePeaks | None:
+    """Both roofline peaks or neither; errors read ``{prefix}{name}: ...``."""
+    if flops is None and bandwidth is None:
+        return None
+    for value, name, other in ((flops, *names), (bandwidth, *reversed(names))):
+        if value is None:
+            raise ConfigurationError(f"{prefix}{name}: required when {other} is given")
+        if not value > 0:
+            raise ConfigurationError(f"{prefix}{name}: must be positive, got {value!r}")
+    return RooflinePeaks(flops, bandwidth)
 
 
 def _resolve_descriptor(spec: object, where: str) -> ModelDescriptor:
@@ -389,11 +410,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
         trace = load_trace(args.trace)
     else:
         trace = synthesize_rate_trace(
-            args.tokens, args.fallback_rate, args.rollback_rate
+            _positive(args.tokens, "--tokens"), args.fallback_rate, args.rollback_rate
         )
-    peaks = None
-    if args.peak_flops and args.peak_bandwidth:
-        peaks = RooflinePeaks(args.peak_flops, args.peak_bandwidth)
+    peaks = _peaks(args.peak_flops, args.peak_bandwidth, "", ("--peak-flops", "--peak-bandwidth"))
     report = tally_trace(
         trace, small_desc, large_desc, prompt_len=args.prompt_len, peaks=peaks
     )

@@ -229,13 +229,14 @@ def tally_trace(
     )
 
 
+_SYNTH_DRAFT_CAP = 10  # longest draft a synthesized round may pick
+_SYNTH_TOKEN = 0  # the token id every synthesized event carries
+
+
 def synthesize_rate_trace(
     num_tokens: int,
     fallback_rate: float,
     rollback_rate: float,
-    *,
-    draft_cap: int = 10,
-    token: int = 0,
 ) -> list[TraceEvent]:
     """Build a structurally valid trace hitting target event rates.
 
@@ -246,6 +247,8 @@ def synthesize_rate_trace(
     Useful for reproducing reported operating points without the models
     that produced them.
     """
+    if num_tokens < 1:
+        raise InvalidInputError(f"num_tokens must be >= 1, got {num_tokens}")
     if not 0.0 < fallback_rate < 1.0:
         raise InvalidInputError("fallback_rate must lie strictly between 0 and 1")
     if not 0.0 <= rollback_rate < 1.0:
@@ -258,14 +261,14 @@ def synthesize_rate_trace(
     while seq_len < num_tokens:
         best_w = 1
         best_err = None
-        for w in range(1, draft_cap + 1):
+        for w in range(1, _SYNTH_DRAFT_CAP + 1):
             err = abs((fallbacks + 1) / (drafts + w + fallbacks + 1) - fallback_rate)
             if best_err is None or err < best_err:
                 best_err = err
                 best_w = w
         w = best_w
         for _ in range(w):
-            events.append(SmallStep(seq_len, token, 0.9))
+            events.append(SmallStep(seq_len, _SYNTH_TOKEN, 0.9))
             seq_len += 1
         events.append(Fallback(seq_len, LOW_CONFIDENCE))
         fallbacks += 1
@@ -279,10 +282,10 @@ def synthesize_rate_trace(
         want_discarded = rollback_rate * drafts
         d = min(w, max(0, round(want_discarded - discarded)))
         if d > 0:
-            events.append(Rollback(seq_len - d, d, token))
+            events.append(Rollback(seq_len - d, d, _SYNTH_TOKEN))
             seq_len -= d - 1
             discarded += d
         else:
-            events.append(LargeAppend(seq_len, token))
+            events.append(LargeAppend(seq_len, _SYNTH_TOKEN))
             seq_len += 1
     return events

@@ -21,18 +21,20 @@ Budget semantics: drafting is bounded by the window cap, not by
 Termination happens when the committed sequence ends with end-of-sequence
 or reaches ``max_len``.
 
-Working sequence: each loop keeps one ``vocab.TokenSequence``, seeded with
-the prompt, which is validated once there. Every draft, replacement and
-bonus token is appended to it; a verify truncates it to the prompt plus the
-committed tokens before appending the replacement. Models are called with
-that object, so they skip revalidating it, and a step's cost does not grow
-with the sequence's length.
+Working sequence: a run's tokens live only in its ``_Run``. ``working`` is
+one ``vocab.TokenSequence``: the prompt (validated once there), then the
+committed tokens, then the drafts awaiting verification; ``provenance``
+records which model wrote each committed token. Every draft, replacement
+and bonus token is appended to ``working``; a rollback truncates it to the
+prompt plus the committed tokens before appending the replacement. Models
+are called with that object, so they skip revalidating it, and a step's
+cost does not grow with the sequence's length. Every decode function,
+``oracle_blend_decode`` included, returns a ``DecodeResult``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .dist import ProbDist
@@ -62,23 +64,6 @@ NO_ROLLBACK = "no_rollback"
 FIXED_WINDOW_VARIANT = "fixed_window"
 
 
-@dataclass
-class GenerationState:
-    """Working state of a collaborative run.
-
-    ``committed`` tokens are final (with their provenance); ``pending``
-    tokens were drafted by the small model and await verification, each
-    stored with the exact distribution it was sampled from. The committed
-    and pending tokens, in order, follow the prompt in the working sequence.
-    """
-
-    committed: list[tuple[int, str]] = field(default_factory=list)
-    pending: list[tuple[int, ProbDist]] = field(default_factory=list)
-
-    def working_length(self) -> int:
-        return len(self.committed) + len(self.pending)
-
-
 def _require_shared_vocabulary(small: LanguageModel, large: LanguageModel) -> None:
     if not small.vocabulary.compatible_with(large.vocabulary):
         raise VocabularyMismatchError(
@@ -87,17 +72,21 @@ def _require_shared_vocabulary(small: LanguageModel, large: LanguageModel) -> No
         )
 
 
-def _working_sequence(model: LanguageModel, prompt: Sequence[int], max_len: int) -> TokenSequence:
-    """Check the run's arguments; the working sequence, seeded with the prompt."""
-    if max_len < 1:
-        raise InvalidInputError("max_len must be >= 1")
-    return TokenSequence(prompt, model.vocabulary)
-
-
 class _Run:
-    """Mutable bookkeeping shared by the decode loops."""
+    """One decode run: its working sequence, provenance, rng and counts.
 
-    def __init__(self, seed: int) -> None:
+    ``working`` holds the prompt (``base`` tokens), then the committed
+    tokens, one per entry of ``provenance``, then any drafts still pending.
+    """
+
+    def __init__(self, model: LanguageModel, prompt: Sequence[int], max_len: int, seed: int) -> None:
+        if max_len < 1:
+            raise InvalidInputError("max_len must be >= 1")
+        self.working = TokenSequence(prompt, model.vocabulary)
+        self.base = len(self.working)
+        self.provenance: list[str] = []
+        self.eos = model.vocabulary.eos
+        self.max_len = max_len
         self.rng = random.Random(seed)
         self.trace: list[TraceEvent] = []
         self.fallback_count = 0
@@ -106,21 +95,28 @@ class _Run:
         self.small_calls = 0
         self.large_calls = 0
 
-    def finalize(
-        self,
-        committed: list[tuple[int, str]],
-        eos: int,
-        max_len: int,
-        extras: dict | None = None,
-    ) -> DecodeResult:
-        committed = committed[:max_len]
-        sequence = [t for t, _ in committed]
-        provenance = [p for _, p in committed]
-        if sequence and sequence[-1] == eos:
-            self.trace.append(Eos(len(sequence) - 1))
+    def commit(self, token: int, source: str) -> None:
+        self.working.append(token)
+        self.provenance.append(source)
+
+    def ended(self) -> bool:
+        """Whether the committed tokens end with end-of-sequence."""
+        n = len(self.provenance)
+        return n > 0 and self.working[self.base + n - 1] == self.eos
+
+    def done(self) -> bool:
+        """The stop test: ``max_len`` tokens committed, or end-of-sequence."""
+        return len(self.provenance) >= self.max_len or self.ended()
+
+    def finalize(self, extras: dict | None = None) -> DecodeResult:
+        n = min(len(self.provenance), self.max_len)
+        sequence = self.working[self.base : self.base + n]
+        provenance = self.provenance[:n]
+        if sequence and sequence[-1] == self.eos:
+            self.trace.append(Eos(n - 1))
         counters = Counters(
-            small_tokens=sum(1 for p in provenance if p == SMALL),
-            large_tokens=sum(1 for p in provenance if p == LARGE),
+            small_tokens=provenance.count(SMALL),
+            large_tokens=provenance.count(LARGE),
             fallback_count=self.fallback_count,
             rollback_count=self.rollback_count,
             tokens_discarded=self.tokens_discarded,
@@ -143,20 +139,14 @@ def vanilla_decode(
     max_len: int,
 ) -> DecodeResult:
     """Plain autoregressive decoding: one model call per emitted token."""
-    context = _working_sequence(model, prompt, max_len)
-    eos = model.vocabulary.eos
-    run = _Run(sampler.seed)
-    committed: list[tuple[int, str]] = []
-    while len(committed) < max_len:
-        dist = model.score_next(context)
+    run = _Run(model, prompt, max_len, sampler.seed)
+    while not run.done():
+        dist = model.score_next(run.working)
         run.small_calls += 1
         token = sample(dist, sampler, run.rng)
-        run.trace.append(SmallStep(len(committed), token, dist.max_prob()))
-        committed.append((token, SMALL))
-        context.append(token)
-        if token == eos:
-            break
-    return run.finalize(committed, eos, max_len)
+        run.trace.append(SmallStep(len(run.provenance), token, dist.max_prob()))
+        run.commit(token, SMALL)
+    return run.finalize()
 
 
 def _collaborate(
@@ -187,22 +177,20 @@ def _collaborate(
     bonus token when m == k.
     """
     _require_shared_vocabulary(small, large)
-    working = _working_sequence(small, prompt, max_len)
-    base = len(working)  # the prompt's length
-    eos = small.vocabulary.eos
-    run = _Run(seed)
-    state = GenerationState()
+    run = _Run(small, prompt, max_len, seed)
+    working, provenance = run.working, run.provenance
+    # the drafts after the committed tokens, each with the distribution it was sampled from
+    pending: list[tuple[int, ProbDist]] = []
 
     def handover(reason: str) -> None:
-        run.trace.append(Fallback(state.working_length(), reason))
+        first = len(provenance)
+        k = len(pending)
+        run.trace.append(Fallback(first + k, reason))
         run.fallback_count += 1
         run.large_calls += 1
-        pending = state.pending
-        k = len(pending)
-        first = len(state.committed)
         # k+1 distributions: one per pending position plus the next position,
         # all from a single parallel scoring pass over the working sequence.
-        dists = large.score_range(working, base + first)
+        dists = large.score_range(working, run.base + first)
         run.trace.append(
             LargeVerify(
                 positions=tuple(range(first, first + k)),
@@ -210,28 +198,22 @@ def _collaborate(
             )
         )
         m = accept(pending, dists, run.rng)
-        state.committed.extend((token, SMALL) for token, _ in pending[:m])
+        provenance.extend([SMALL] * m)
         if m < k:
             replacement = draw(pending, dists, m, run.rng)
-            run.trace.append(undo(len(state.committed), k - m, replacement))
-            working.truncate(base + len(state.committed))
-            working.append(replacement)
-            state.committed.append((replacement, LARGE))
+            run.trace.append(undo(first + m, k - m, replacement))
+            working.truncate(run.base + first + m)
+            run.commit(replacement, LARGE)
             run.rollback_count += 1
             run.tokens_discarded += k - m
-        elif not (state.committed and state.committed[-1][0] == eos):
+        elif not run.ended():
             token = draw(pending, dists, k, run.rng)
-            run.trace.append(LargeAppend(len(state.committed), token))
-            state.committed.append((token, LARGE))
-            working.append(token)
+            run.trace.append(LargeAppend(first + k, token))
+            run.commit(token, LARGE)
         pending.clear()
 
-    while True:
-        if state.committed and state.committed[-1][0] == eos:
-            break
-        if len(state.committed) >= max_len:
-            break
-        if len(state.pending) >= draft_cap:
+    while not run.done():
+        if len(pending) >= draft_cap:
             handover(WINDOW_CAP)
             continue
         small_dist = small.score_next(working)
@@ -240,17 +222,17 @@ def _collaborate(
             handover(LOW_CONFIDENCE)
             continue
         token = sample(small_dist, sampler, run.rng)
-        run.trace.append(SmallStep(state.working_length(), token, small_dist.max_prob()))
-        state.pending.append((token, small_dist))
+        run.trace.append(SmallStep(len(working) - run.base, token, small_dist.max_prob()))
+        pending.append((token, small_dist))
         working.append(token)
-        if token == eos:
+        if token == run.eos:
             if eos_reason is not None:
                 handover(eos_reason)
             else:
-                state.committed.extend((tok, SMALL) for tok, _ in state.pending)
-                state.pending.clear()
+                provenance.extend([SMALL] * len(pending))
+                pending.clear()
 
-    return run.finalize(state.committed, eos, max_len, extras)
+    return run.finalize(extras)
 
 
 def bild_decode(
@@ -296,42 +278,33 @@ def oracle_blend_decode(
     sampler: Sampler,
     prompt: Sequence[int],
     max_len: int,
-) -> tuple[DecodeResult, float]:
+) -> DecodeResult:
     """Idealized both-models-every-step decode for engagement analysis.
 
     The small model's sampled token is kept unless the large model assigns
     it probability strictly below ``likelihood_threshold``, in which case
-    the large model's own sample replaces it. Returns the result and the
-    engagement fraction (replaced positions over total positions).
+    the large model's own sample replaces it. ``extras["engagement"]`` is
+    the fraction of positions the large model wrote.
     """
     if not 0.0 <= likelihood_threshold <= 1.0:
         raise InvalidInputError("likelihood_threshold must lie in [0, 1]")
     _require_shared_vocabulary(small, large)
-    context = _working_sequence(small, prompt, max_len)
-    eos = small.vocabulary.eos
-    run = _Run(sampler.seed)
-    committed: list[tuple[int, str]] = []
-    replaced = 0
-    while len(committed) < max_len:
-        small_dist = small.score_next(context)
-        large_dist = large.score_next(context)
+    run = _Run(small, prompt, max_len, sampler.seed)
+    while not run.done():
+        small_dist = small.score_next(run.working)
+        large_dist = large.score_next(run.working)
         run.small_calls += 1
         run.large_calls += 1
         token = sample(small_dist, sampler, run.rng)
         if large_dist[token] < likelihood_threshold:
             token = sample(large_dist, sampler, run.rng)
-            run.trace.append(LargeAppend(len(committed), token))
-            committed.append((token, LARGE))
-            replaced += 1
+            run.trace.append(LargeAppend(len(run.provenance), token))
+            run.commit(token, LARGE)
         else:
-            run.trace.append(SmallStep(len(committed), token, small_dist.max_prob()))
-            committed.append((token, SMALL))
-        context.append(token)
-        if token == eos:
-            break
-    engagement = replaced / len(committed) if committed else 0.0
-    result = run.finalize(committed, eos, max_len, extras={"engagement": engagement})
-    return result, engagement
+            run.trace.append(SmallStep(len(run.provenance), token, small_dist.max_prob()))
+            run.commit(token, SMALL)
+    engagement = run.provenance.count(LARGE) / len(run.provenance)
+    return run.finalize({"engagement": engagement})
 
 
 def ablation_decode(

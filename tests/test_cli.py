@@ -364,14 +364,41 @@ BAD_CONFIGS = {
     "blend_threshold_above_one": (("blend_threshold",), 2.0, "blend_threshold"),
     "blend_threshold_negative": (("blend_threshold",), -0.5, "blend_threshold"),
     "fixed_window_k_zero": (("fixed_window_k",), 0, "fixed_window_k"),
+    "cost_peak_flops_alone": (("cost",), {"peak_flops": 1e12}, "cost.peak_bandwidth"),
+    "cost_peak_flops_zero": (("cost",), {"peak_flops": 0.0, "peak_bandwidth": 1e11}, "cost.peak_flops"),
 }
 
 
-def test_max_len_flag_zero_exits_1_naming_the_flag(workspace, capsys):
+BAD_OVERRIDE_FLAGS = {
+    "max_len_zero": ("--max-len", "0"),
+    "window_cap_zero": ("--window-cap", "0"),
+    "alpha_fb_nan": ("--alpha-fb", "nan"),
+}
+
+
+@pytest.mark.parametrize("flag, value", list(BAD_OVERRIDE_FLAGS.values()), ids=list(BAD_OVERRIDE_FLAGS))
+def test_bad_override_flag_exits_1_naming_it(workspace, capsys, flag, value):
     tmp_path, config_path, config, task = workspace
-    assert main(["decode", "--config", str(config_path), "--max-len", "0"]) == 1
-    _assert_one_error_line(capsys, "--max-len")
+    assert main(["decode", "--config", str(config_path), flag, value]) == 1
+    _assert_one_error_line(capsys, flag)
     assert not (tmp_path / "out").exists()
+
+
+BAD_COST_FLAGS = {
+    "tokens_zero": (["--tokens", "0"], "--tokens"),
+    "tokens_negative": (["--tokens", "-3"], "--tokens"),
+    "peak_flops_alone": (["--peak-flops", "1e12"], "--peak-bandwidth"),
+    "peak_bandwidth_alone": (["--peak-bandwidth", "1e11"], "--peak-flops"),
+    "peak_flops_zero": (["--peak-flops", "0", "--peak-bandwidth", "1e11"], "--peak-flops"),
+}
+
+
+@pytest.mark.parametrize("flags, name", list(BAD_COST_FLAGS.values()), ids=list(BAD_COST_FLAGS))
+def test_bad_cost_flag_exits_1_naming_it(tmp_path, capsys, flags, name):
+    out = tmp_path / "cost.json"
+    assert main(["cost", *flags, "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, name)
+    assert not out.exists()
 
 
 def test_bad_prompt_symbol_exits_1_naming_file_and_line(workspace, capsys):

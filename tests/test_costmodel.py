@@ -182,6 +182,9 @@ def test_roofline_proxy():
 
 
 def test_synthesize_rate_trace_validation():
+    for num_tokens in (0, -3):
+        with pytest.raises(InvalidInputError, match="num_tokens"):
+            synthesize_rate_trace(num_tokens, 0.3, 0.1)
     with pytest.raises(InvalidInputError):
         synthesize_rate_trace(100, 0.0, 0.1)
     with pytest.raises(InvalidInputError):

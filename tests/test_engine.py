@@ -264,7 +264,7 @@ def run_random_single(seed: int):
     sampler = Sampler.nucleus(0.9, seed=seed)
     max_len = rng.randint(1, 15)
     vanilla = vanilla_decode(small, prompt, sampler, max_len)
-    blend, _ = oracle_blend_decode(small, large, rng.random(), sampler, prompt, max_len)
+    blend = oracle_blend_decode(small, large, rng.random(), sampler, prompt, max_len)
     return vanilla, blend
 
 
@@ -417,23 +417,23 @@ def test_stochastic_bild_is_reproducible(golden_pair):
 
 def test_blend_threshold_zero_is_pure_small(golden_pair):
     small, large = golden_pair
-    result, engagement = oracle_blend_decode(small, large, 0.0, Sampler.greedy(), [], 3)
-    assert engagement == 0.0
+    result = oracle_blend_decode(small, large, 0.0, Sampler.greedy(), [], 3)
+    assert result.extras["engagement"] == 0.0
     assert result.sequence == vanilla_decode(small, [], Sampler.greedy(), 3).sequence
 
 
 def test_blend_threshold_one_is_pure_large(golden_pair):
     small, large = golden_pair
-    result, engagement = oracle_blend_decode(small, large, 1.0, Sampler.greedy(), [], 3)
-    assert engagement == 1.0
+    result = oracle_blend_decode(small, large, 1.0, Sampler.greedy(), [], 3)
+    assert result.extras["engagement"] == 1.0
     assert result.sequence == vanilla_decode(large, [], Sampler.greedy(), 3).sequence
 
 
 def test_blend_hand_example(golden_pair):
     small, large = golden_pair
-    result, engagement = oracle_blend_decode(small, large, 0.5, Sampler.greedy(), [], 3)
+    result = oracle_blend_decode(small, large, 0.5, Sampler.greedy(), [], 3)
     assert result.sequence == [B, B, B]
-    assert engagement == 1.0
+    assert result.extras["engagement"] == 1.0
     assert result.counters.small_calls == result.counters.large_calls == 3
 
 
@@ -535,7 +535,7 @@ LONG_DECODERS = {
     ),
     "speculative": lambda s, l, p: speculative_decode(s, l, SpecConfig(window=4, seed=1), p, LONG),
     "vanilla": lambda s, l, p: vanilla_decode(l, p, Sampler.nucleus(0.9, seed=1), LONG),
-    "oracle_blend": lambda s, l, p: oracle_blend_decode(s, l, 0.2, Sampler.nucleus(0.9, seed=1), p, LONG)[0],
+    "oracle_blend": lambda s, l, p: oracle_blend_decode(s, l, 0.2, Sampler.nucleus(0.9, seed=1), p, LONG),
 }
 
 

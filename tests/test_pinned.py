@@ -1,4 +1,5 @@
-"""Pinned outputs of every draft-and-verify decoder.
+"""Pinned outputs of every decoder: vanilla, the oracle blend, and every
+draft-and-verify loop.
 
 Each case hashes, over ~30 random model pairs and two prompts each, the
 sequence, provenance, counters, extras and the JSON lines of the trace.
@@ -16,7 +17,16 @@ from dataclasses import replace
 
 import pytest
 
-from bild import MAX_DISTANCE, PolicyConfig, Sampler, SpecConfig, bild_decode, speculative_decode
+from bild import (
+    MAX_DISTANCE,
+    PolicyConfig,
+    Sampler,
+    SpecConfig,
+    bild_decode,
+    oracle_blend_decode,
+    speculative_decode,
+    vanilla_decode,
+)
 from bild.engine import FIXED_WINDOW_VARIANT, NO_ROLLBACK, ablation_decode
 from bild.trace import event_to_json_dict
 from conftest import random_model_pair
@@ -65,6 +75,21 @@ def _speculative(window: int, sampler_kind: str):
     return run
 
 
+def _vanilla(sampler_kind: str):
+    def run(small, large, policy, prompt, seed, max_len):
+        return vanilla_decode(small, prompt, _samplers(seed)[sampler_kind], max_len)
+
+    return run
+
+
+def _blend(threshold: float, sampler_kind: str):
+    def run(small, large, policy, prompt, seed, max_len):
+        sampler = _samplers(seed)[sampler_kind]
+        return oracle_blend_decode(small, large, threshold, sampler, prompt, max_len)
+
+    return run
+
+
 CASES = {
     "bild_greedy": _bild("greedy"),
     "bild_nucleus": _bild("nucleus"),
@@ -73,6 +98,13 @@ CASES = {
     "bild_rollback_off": _bild("greedy", alpha_rb=MAX_DISTANCE),
     "ablation_no_rollback": _ablation(NO_ROLLBACK),
     "ablation_fixed_window": _ablation(FIXED_WINDOW_VARIANT, k=2),
+    "vanilla_greedy": _vanilla("greedy"),
+    "vanilla_nucleus": _vanilla("nucleus"),
+    **{
+        f"blend_t{t}_{kind}": _blend(t, kind)
+        for t in (0.2, 0.8)
+        for kind in ("greedy", "nucleus")
+    },
     **{
         f"speculative_w{w}_{kind}": _speculative(w, kind)
         for w in (1, 2, 4)
@@ -83,6 +115,10 @@ CASES = {
 DIGESTS = {
     "ablation_fixed_window": "0f5a613d026f6afd56b92789b13932d47aaa9c379af2efa09a933a5d9241bb6a",
     "ablation_no_rollback": "9c71e09f6edb834d99c943fa45d0c35eb10cd9c1f11d41fdafa9634356024ce6",
+    "blend_t0.2_greedy": "3149ebfac99dbd155473ae5b72bc1353f11714cab65b5a1be0ad2a2d79aae1a6",
+    "blend_t0.2_nucleus": "6cfe357973f6ecc46b0cd72fa9031fb6272f033f42cf2862e978527623753e4c",
+    "blend_t0.8_greedy": "0388bcbfc1230edb2dc68fa20fda330acaeac58fb386f7d17d87a32e5154dfcc",
+    "blend_t0.8_nucleus": "1887953ef8d7fccef79323f81f76919ef1358d4bfd93c082fa6f2443edabbc54",
     "bild_greedy": "c2613ca811970de74fc13c6aa45040d97be20afadc3b64a85972751ac56e8c7a",
     "bild_nucleus": "93936c1103150d6f3636c729c26b18375e8be120b676d5c57c98e65fe13a4059",
     "bild_rollback_off": "25defa7534693da611d54ca25bdd43507afb90073128ed2dc938cfe3c96b4041",
@@ -97,6 +133,8 @@ DIGESTS = {
     "speculative_w4_greedy": "f88d24586cde7b96f68c485e9173968ab06b2654abd60fcbd55959c645c87456",
     "speculative_w4_nucleus": "7c5c629412f825e2f68a3e3729733affaa8cbff0d02dae21c69d60a7242f77a9",
     "speculative_w4_temperature": "788c0089a79a4812a656d32b0b61d374c79b03f5ec87fbe5369398eddb1e4008",
+    "vanilla_greedy": "c54f491cf38643cc5e85c5dca188dc7b70b6d434ae62de5323c32089440d3e1b",
+    "vanilla_nucleus": "4ea51b316afe8ecf926cca5993fedce7e15ffccf71babc7ae08e69d2de61b298",
 }
 
 

@@ -134,11 +134,11 @@ def test_blend_quality_curve_non_increasing():
         for t in thresholds:
             outs, engs = [], []
             for prompt in task.eval_prompts:
-                res, eng = oracle_blend_decode(
+                res = oracle_blend_decode(
                     task.small, task.large, t, Sampler.greedy(), prompt, MAX_LEN
                 )
                 outs.append(res.sequence)
-                engs.append(eng)
+                engs.append(res.extras["engagement"])
             curve[t].append(perplexity(task.gold, outs))
             engagement_curve[t].append(sum(engs) / len(engs))
     means = [statistics.mean(curve[t]) for t in thresholds]
@@ -153,7 +153,7 @@ def test_blend_endpoint_equals_pure_large_exactly():
         task = skill_gap_task(seed)
         for prompt in task.eval_prompts:
             pure = vanilla_decode(task.large, prompt, Sampler.greedy(), MAX_LEN).sequence
-            blend, _ = oracle_blend_decode(
+            blend = oracle_blend_decode(
                 task.small, task.large, 1.0, Sampler.greedy(), prompt, MAX_LEN
             )
             assert blend.sequence == pure
