@@ -15,9 +15,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from .costmodel import (
     PRESETS,
@@ -35,15 +35,21 @@ from .engine import (
     oracle_blend_decode,
     vanilla_decode,
 )
-from .errors import BildError, ConfigurationError, InvalidInputError, VocabularyMismatchError
-from .jsondoc import check, field, load_json, read_dataclass
-from .metrics import RunSummary, summarize, summary_csv_header, summary_csv_row
+from .errors import (
+    BildError,
+    ConfigurationError,
+    FieldError,
+    InvalidInputError,
+    VocabularyMismatchError,
+)
+from .jsondoc import load_json, read_dataclass
+from .metrics import RunSummary, mean_summary, summarize, summary_csv_header, summary_csv_row
 from .models import LanguageModel
 from .policies import PolicyConfig
 from .sampling import Sampler
 from .speculative import SpecConfig, speculative_decode
 from .toymodels import NgramLM, align_small, fit_ngram, load_table_lm
-from .trace import DecodeResult, event_to_json_dict, load_trace
+from .trace import DecodeResult, load_trace, trace_text
 from .vocab import load_corpus, load_vocabulary
 
 # strategy -> runner(experiment, prompt, sampler, policy). Each runner looks
@@ -85,9 +91,128 @@ _RUNNERS = {
     ),
 }
 STRATEGIES = tuple(_RUNNERS)
+MODEL_KINDS = ("ngram", "table")
 
-DEFAULT_ALPHA_FB_GRID = [0.5, 0.6, 0.7, 0.8, 0.9]
-DEFAULT_ALPHA_RB_GRID = [1.0, 2.0, 5.0, 10.0]
+
+def _peaks(
+    flops: float | None, bandwidth: float | None, names: tuple[str, str] = ("peak_flops", "peak_bandwidth")
+) -> RooflinePeaks | None:
+    """Both roofline peaks or neither; an error is a ``FieldError`` on one of ``names``."""
+    if flops is None and bandwidth is None:
+        return None
+    for value, name, other in ((flops, *names), (bandwidth, *reversed(names))):
+        if value is None:
+            raise FieldError(name, f"required when {other} is given")
+        if not value > 0:
+            raise FieldError(name, f"must be positive, got {value!r}")
+    return RooflinePeaks(flops, bandwidth)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A config's model entry: an n-gram JSON file, or a table file with its vocabulary."""
+
+    kind: str
+    path: str
+    vocab: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise FieldError("kind", f"unknown model kind {self.kind!r}")
+        if self.kind == "table" and not self.vocab:
+            raise FieldError("vocab", "table models require a 'vocab' file")
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """The thresholds ``bild sweep`` runs: every ``alpha_fb`` with every ``alpha_rb``."""
+
+    alpha_fb: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9)
+    alpha_rb: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0)
+
+    def __post_init__(self) -> None:
+        for key in ("alpha_fb", "alpha_rb"):
+            if not getattr(self, key):
+                raise FieldError(key, "the grid must be non-empty")
+
+
+@dataclass(frozen=True)
+class CostSection:
+    """The cost model's descriptors (a preset name, a descriptor file or an inline
+    descriptor) and optional roofline peaks, both or neither."""
+
+    small: str | ModelDescriptor = "t5-small"
+    large: str | ModelDescriptor = "t5-large"
+    peak_flops: float | None = None
+    peak_bandwidth: float | None = None
+
+    def __post_init__(self) -> None:
+        _peaks(self.peak_flops, self.peak_bandwidth)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """An experiment config file; README's CLI section lists every key."""
+
+    small_model: ModelSpec
+    large_model: ModelSpec
+    prompts: str
+    policy: PolicyConfig = PolicyConfig(alpha_fb=0.6, alpha_rb=2.0)
+    sampler: Sampler = Sampler.greedy()
+    max_len: int = 32
+    seed: int = 0
+    strategy: str = "bild"
+    strategies: tuple[str, ...] = ("bild", "vanilla_large")
+    out_dir: str = "out"
+    speculative_window: int = 4
+    fixed_window_k: int = 3
+    blend_threshold: float = 0.5
+    sweep: SweepGrid = SweepGrid()
+    cost: CostSection = CostSection()
+
+    def __post_init__(self) -> None:
+        for key in ("max_len", "speculative_window", "fixed_window_k"):
+            if getattr(self, key) < 1:
+                raise FieldError(key, f"must be >= 1, got {getattr(self, key)}")
+        if not 0.0 <= self.blend_threshold <= 1.0:
+            raise FieldError("blend_threshold", f"must lie in [0, 1], got {self.blend_threshold!r}")
+        for key, names in (("strategy", (self.strategy,)), ("strategies", self.strategies)):
+            for name in names:
+                if name not in STRATEGIES:
+                    raise FieldError(key, f"unknown strategy {name!r}")
+        if len(self.strategies) < 2:
+            raise FieldError("strategies", "compare needs at least 2 strategies")
+
+
+# override flag (its argparse dest) -> the config field it replaces, dotted through sections
+_OVERRIDES = {
+    "alpha_fb": "policy.alpha_fb",
+    "alpha_rb": "policy.alpha_rb",
+    "window_cap": "policy.window_cap",
+    "max_len": "max_len",
+    "seed": "seed",
+    "strategy": "strategy",
+    "out": "out_dir",
+    "strategies": "strategies",
+}
+
+
+def _override(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """``config`` with each given flag applied in turn; the config is valid, so an error is the flag's."""
+    for dest, key in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            try:
+                config = _replace_at(config, key.split("."), value)
+            except InvalidInputError as e:
+                detail = e.message if isinstance(e, FieldError) else e
+                raise ConfigurationError(f"--{dest.replace('_', '-')}: {detail}") from None
+    return config
+
+
+def _replace_at(doc: Any, keys: list[str], value: Any) -> Any:
+    head, *rest = keys
+    return replace(doc, **{head: _replace_at(getattr(doc, head), rest, value) if rest else value})
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -111,77 +236,46 @@ def derive_seed(base: int, *parts: int) -> int:
     return h
 
 
-def load_model(spec: dict, label: str) -> LanguageModel:
-    """Load a model from its config entry ``{kind, path, vocab}``."""
-    kind = field(spec, "kind", str, label)
-    path = field(spec, "path", str, label)
-    if not Path(path).exists():
-        raise ConfigurationError(f"{label}: model file not found: {path}")
-    vocab_path = field(spec, "vocab", str | None, label, None)
-    if vocab_path and not Path(vocab_path).exists():
-        raise ConfigurationError(f"{label}: vocabulary file not found: {vocab_path}")
-    vocab = load_vocabulary(vocab_path) if vocab_path else None
-    if kind == "table":
-        if vocab is None:
-            raise ConfigurationError(f"{label}: table models require a 'vocab' file")
-        return load_table_lm(path, vocab)
-    if kind == "ngram":
-        return NgramLM.load(path, vocab)
-    raise ConfigurationError(f"{label}: unknown model kind {kind!r}")
+def load_model(spec: ModelSpec, label: str) -> LanguageModel:
+    """Load the model a config entry names; ``label`` names the entry in errors."""
+    if not Path(spec.path).exists():
+        raise ConfigurationError(f"{label}: model file not found: {spec.path}")
+    if spec.vocab and not Path(spec.vocab).exists():
+        raise ConfigurationError(f"{label}: vocabulary file not found: {spec.vocab}")
+    vocab = load_vocabulary(spec.vocab) if spec.vocab else None
+    if spec.kind == "table":
+        return load_table_lm(spec.path, vocab)
+    return NgramLM.load(spec.path, vocab)
 
 
 class Experiment:
-    """A parsed experiment configuration."""
+    """An experiment config file read as an ``ExperimentConfig``, with the flag
+    overrides applied and its models and prompts loaded."""
 
     def __init__(self, config_path: str, args: argparse.Namespace) -> None:
         if not Path(config_path).exists():
             raise ConfigurationError(f"config file not found: {config_path}")
-        where = f"{config_path}:"
-        self.data = data = check(load_json(config_path), dict, where)
-        self.small = load_model(field(data, "small_model", dict, where), "small_model")
-        self.large = load_model(field(data, "large_model", dict, where), "large_model")
-        policy = field(data, "policy", PolicyConfig, where, PolicyConfig(alpha_fb=0.6, alpha_rb=2.0))
-        # one flag at a time: the config's policy is valid, so an error is the flag's
-        for key in ("alpha_fb", "alpha_rb", "window_cap"):
-            value = getattr(args, key, None)
-            if value is not None:
-                try:
-                    policy = replace(policy, **{key: value})
-                except InvalidInputError as e:
-                    raise ConfigurationError(f"--{key.replace('_', '-')}: {e}") from e
-        self.policy = policy
-        self.sampler = field(data, "sampler", Sampler, where, Sampler.greedy())
-        prompts_path = field(data, "prompts", str, where)
-        if not Path(prompts_path).exists():
-            raise ConfigurationError(f"prompts file not found: {prompts_path}")
-        self.prompts = load_corpus(prompts_path, self.small.vocabulary)
-        max_len = getattr(args, "max_len", None)
-        if max_len is None:
-            self.max_len = _positive(field(data, "max_len", int, where, 32), f"{where} max_len")
-        else:
-            self.max_len = _positive(max_len, "--max-len")
-        seed = getattr(args, "seed", None)
-        self.seed = field(data, "seed", int, where, 0) if seed is None else seed
-        strategy = getattr(args, "strategy", None)
-        self.strategy = field(data, "strategy", str, where, "bild") if strategy is None else strategy
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        out = getattr(args, "out", None)
-        self.out_dir = Path(field(data, "out_dir", str, where, "out") if out is None else out)
-        self.speculative_window = _positive(
-            field(data, "speculative_window", int, where, 4), f"{where} speculative_window"
-        )
-        self.blend_threshold = field(data, "blend_threshold", float, where, 0.5)
-        if not 0.0 <= self.blend_threshold <= 1.0:
-            raise ConfigurationError(
-                f"{where} blend_threshold: must lie in [0, 1], got {self.blend_threshold!r}"
-            )
-        self.fixed_window_k = _positive(field(data, "fixed_window_k", int, where, 3), f"{where} fixed_window_k")
-        cost, where = field(data, "cost", dict, where, {}), f"{config_path}: cost"
-        self.small_desc = _resolve_descriptor(cost.get("small", "t5-small"), f"{where}.small")
-        self.large_desc = _resolve_descriptor(cost.get("large", "t5-large"), f"{where}.large")
-        peaks = [field(cost, key, float | None, where, None) for key in ("peak_flops", "peak_bandwidth")]
-        self.peaks = _peaks(*peaks, f"{where}.", ("peak_flops", "peak_bandwidth"))
+        config = read_dataclass(ExperimentConfig, load_json(config_path), f"{config_path}:")
+        self.config = config = _override(config, args)
+        self.small = load_model(config.small_model, "small_model")
+        self.large = load_model(config.large_model, "large_model")
+        if not Path(config.prompts).exists():
+            raise ConfigurationError(f"prompts file not found: {config.prompts}")
+        self.prompts = load_corpus(config.prompts, self.small.vocabulary)
+        if not self.prompts:
+            raise ConfigurationError(f"prompts file {config.prompts} is empty")
+        self.policy = config.policy
+        self.sampler = config.sampler
+        self.max_len = config.max_len
+        self.seed = config.seed
+        self.strategy = config.strategy
+        self.out_dir = Path(config.out_dir)
+        self.speculative_window = config.speculative_window
+        self.blend_threshold = config.blend_threshold
+        self.fixed_window_k = config.fixed_window_k
+        self.small_desc = _resolve_descriptor(config.cost.small, f"{config_path}: cost.small")
+        self.large_desc = _resolve_descriptor(config.cost.large, f"{config_path}: cost.large")
+        self.peaks = _peaks(config.cost.peak_flops, config.cost.peak_bandwidth)
 
     def run_strategy(
         self,
@@ -190,8 +284,6 @@ class Experiment:
         seed: int,
         policy: PolicyConfig | None = None,
     ) -> DecodeResult:
-        if strategy not in _RUNNERS:
-            raise ConfigurationError(f"unknown strategy {strategy!r}")
         sampler = replace(self.sampler, seed=seed)
         return _RUNNERS[strategy](self, prompt, sampler, policy or self.policy)
 
@@ -214,30 +306,10 @@ class Experiment:
         )
 
 
-def _positive(value: int, where: str) -> int:
-    if value < 1:
-        raise ConfigurationError(f"{where}: must be >= 1, got {value}")
-    return value
-
-
-def _peaks(
-    flops: float | None, bandwidth: float | None, prefix: str, names: tuple[str, str]
-) -> RooflinePeaks | None:
-    """Both roofline peaks or neither; errors read ``{prefix}{name}: ...``."""
-    if flops is None and bandwidth is None:
-        return None
-    for value, name, other in ((flops, *names), (bandwidth, *reversed(names))):
-        if value is None:
-            raise ConfigurationError(f"{prefix}{name}: required when {other} is given")
-        if not value > 0:
-            raise ConfigurationError(f"{prefix}{name}: must be positive, got {value!r}")
-    return RooflinePeaks(flops, bandwidth)
-
-
-def _resolve_descriptor(spec: object, where: str) -> ModelDescriptor:
-    if isinstance(spec, dict):
-        return read_dataclass(ModelDescriptor, spec, where)
-    if check(spec, str, where) in PRESETS:
+def _resolve_descriptor(spec: str | ModelDescriptor, where: str) -> ModelDescriptor:
+    if isinstance(spec, ModelDescriptor):
+        return spec
+    if spec in PRESETS:
         return PRESETS[spec]
     if Path(spec).exists():
         return ModelDescriptor.load(spec)
@@ -271,10 +343,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         result, summary, _ = _summaries_for_run(exp, exp.strategy, exp.policy, i)
         trace_path = exp.out_dir / f"prompt_{i:03d}.trace.jsonl"
         summary_path = exp.out_dir / f"prompt_{i:03d}.summary.json"
-        outputs.append(
-            (trace_path, "\n".join(json.dumps(event_to_json_dict(e)) for e in result.trace) + "\n")
-        )
-        outputs.append((summary_path, json.dumps(result.summary_json_dict(), indent=2) + "\n"))
+        outputs.append((trace_path, trace_text(result.trace)))
+        outputs.append((summary_path, result.summary_text()))
         rows.append(
             summary_csv_row(
                 f"p{i}",
@@ -299,18 +369,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     exp = Experiment(args.config, args)
-    sweep = field(exp.data, "sweep", dict, f"{args.config}:", {})
-    fb_grid = field(sweep, "alpha_fb", list[float], f"{args.config}: sweep", DEFAULT_ALPHA_FB_GRID)
-    rb_grid = field(sweep, "alpha_rb", list[float], f"{args.config}: sweep", DEFAULT_ALPHA_RB_GRID)
-    if not fb_grid or not rb_grid:
-        raise ConfigurationError("sweep grids must be non-empty")
+    grid = exp.config.sweep
     rows = [summary_csv_header()]
     aggregates: list[tuple[float, float, float, float, str]] = []
     grid_idx = 0
-    for fb in fb_grid:
-        for rb in rb_grid:
+    for fb in grid.alpha_fb:
+        for rb in grid.alpha_rb:
             policy = replace(exp.policy, alpha_fb=fb, alpha_rb=rb)
-            agreements, speedups = [], []
+            summaries = []
             for i in range(len(exp.prompts)):
                 _, summary, _ = _summaries_for_run(exp, "bild", policy, i, grid_idx)
                 rows.append(
@@ -318,16 +384,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         f"fb{fb:g}_rb{rb:g}_p{i}", fb, rb, policy.window_cap, "bild", summary
                     )
                 )
-                agreements.append(summary.agreement_with_reference or 0.0)
-                speedups.append(summary.modeled_speedup or 0.0)
+                summaries.append(summary)
+            mean = mean_summary(summaries)
             aggregates.append(
-                (
-                    fb,
-                    rb,
-                    sum(agreements) / len(agreements),
-                    sum(speedups) / len(speedups),
-                    f"fb{fb:g}_rb{rb:g}",
-                )
+                (fb, rb, mean.agreement_with_reference, mean.modeled_speedup, f"fb{fb:g}_rb{rb:g}")
             )
             grid_idx += 1
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(rows) + "\n")
@@ -341,49 +401,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not dominated:
             pareto_rows.append(f"{run_id},{fb!r},{rb!r},{agr!r},{spd!r}")
     _atomic_write(exp.out_dir / "pareto.csv", "\n".join(pareto_rows) + "\n")
-    print(f"sweep: {len(fb_grid) * len(rb_grid)} grid points x {len(exp.prompts)} prompts")
+    print(f"sweep: {len(grid.alpha_fb) * len(grid.alpha_rb)} grid points x {len(exp.prompts)} prompts")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     exp = Experiment(args.config, args)
-    strategies = (
-        [s.strip() for s in args.strategies.split(",")]
-        if args.strategies
-        else field(exp.data, "strategies", list[str], f"{args.config}:", ["bild", "vanilla_large"])
-    )
-    if len(strategies) < 2:
-        raise ConfigurationError("compare needs at least 2 strategies")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {s!r}")
     # Every strategy runs prompt i with the seed derive_seed(exp.seed, 0, i),
     # so they share one reference per prompt.
     references = [exp.reference(p, derive_seed(exp.seed, 0, i)) for i, p in enumerate(exp.prompts)]
     rows = [summary_csv_header() + ",flops,mops,invocations"]
-    for strategy in strategies:
-        agreements, ppls, fallbacks, rollbacks, speedups = [], [], [], [], []
+    for strategy in exp.config.strategies:
+        summaries = []
         flops = mops = 0.0
         invocations = 0
         for i in range(len(exp.prompts)):
             _, summary, tally = _summaries_for_run(exp, strategy, exp.policy, i, reference=references[i])
-            agreements.append(summary.agreement_with_reference or 0.0)
-            if summary.perplexity_under_model is not None:
-                ppls.append(summary.perplexity_under_model)
-            fallbacks.append(summary.fallback_pct)
-            rollbacks.append(summary.rollback_pct)
-            speedups.append(summary.modeled_speedup or 1.0)
+            summaries.append(summary)
             flops += tally.bild.flops
             mops += tally.bild.mops
             invocations += tally.bild.invocations
-        n = len(exp.prompts)
-        mean = RunSummary(
-            fallback_pct=sum(fallbacks) / n,
-            rollback_pct=sum(rollbacks) / n,
-            agreement_with_reference=sum(agreements) / n,
-            perplexity_under_model=(sum(ppls) / len(ppls)) if ppls else None,
-            modeled_speedup=sum(speedups) / n,
-        )
+        mean = mean_summary(summaries)
         row = summary_csv_row(
             strategy,
             exp.policy.alpha_fb,
@@ -409,10 +447,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"trace file not found: {args.trace}")
         trace = load_trace(args.trace)
     else:
-        trace = synthesize_rate_trace(
-            _positive(args.tokens, "--tokens"), args.fallback_rate, args.rollback_rate
-        )
-    peaks = _peaks(args.peak_flops, args.peak_bandwidth, "", ("--peak-flops", "--peak-bandwidth"))
+        if args.tokens < 1:
+            raise ConfigurationError(f"--tokens: must be >= 1, got {args.tokens}")
+        trace = synthesize_rate_trace(args.tokens, args.fallback_rate, args.rollback_rate)
+    peaks = _peaks(args.peak_flops, args.peak_bandwidth, ("--peak-flops", "--peak-bandwidth"))
     report = tally_trace(
         trace, small_desc, large_desc, prompt_len=args.prompt_len, peaks=peaks
     )
@@ -432,20 +470,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
     vocab = load_vocabulary(args.vocab)
     corpus = load_corpus(args.corpus, vocab)
     model = fit_ngram(corpus, args.order, args.smoothing, vocab)
-    _atomic_write(Path(args.out), json.dumps(model.to_json_dict()) + "\n")
+    _atomic_write(Path(args.out), model.to_json_text())
     print(f"fit {args.order}-gram on {len(corpus)} sequences -> {args.out}")
     return 0
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    large = load_model(
-        {"kind": args.large_kind, "path": args.large, "vocab": args.vocab}, "large_model"
-    )
+    large = load_model(ModelSpec(args.large_kind, args.large, args.vocab), "large_model")
     prompts = load_corpus(args.prompts, large.vocabulary)
     if not prompts:
         raise ConfigurationError(f"prompts file {args.prompts} is empty")
     model = align_small(large, prompts, args.order, args.smoothing, args.max_len)
-    _atomic_write(Path(args.out), json.dumps(model.to_json_dict()) + "\n")
+    _atomic_write(Path(args.out), model.to_json_text())
     print(f"aligned {args.order}-gram from {len(prompts)} prompts -> {args.out}")
     return 0
 
@@ -475,7 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="strategies side by side")
     _add_override_flags(p)
-    p.add_argument("--strategies", default=None, help="comma-separated strategy list")
+    p.add_argument(
+        "--strategies",
+        type=lambda text: tuple(name.strip() for name in text.split(",")),
+        default=None,
+        help="comma-separated strategy list",
+    )
     p.set_defaults(func=cmd_compare, strategy=None)
 
     p = sub.add_parser("cost", help="tally a trace or synthesized operating point")
@@ -501,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", help="refit a small model on large-model outputs")
     p.add_argument("--large", required=True, help="large model file")
-    p.add_argument("--large-kind", dest="large_kind", default="ngram", choices=["ngram", "table"])
+    p.add_argument("--large-kind", dest="large_kind", default="ngram", choices=MODEL_KINDS)
     p.add_argument("--vocab", default=None)
     p.add_argument("--prompts", required=True)
     p.add_argument("--order", type=int, default=2)

@@ -9,6 +9,14 @@ class InvalidInputError(BildError, ValueError):
     """An argument violated a documented precondition."""
 
 
+class FieldError(InvalidInputError):
+    """A dataclass field's value broke a rule; ``read_dataclass`` names it ``<where>.<key>``."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(f"{key}: {message}")
+        self.key, self.message = key, message
+
+
 class ConfigurationError(BildError):
     """A run was configured inconsistently (bad thresholds, bad file, ...)."""
 

@@ -17,9 +17,17 @@ import typing
 from pathlib import Path
 from typing import Any
 
-from .errors import InvalidInputError
+from .errors import FieldError, InvalidInputError
 
-_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object", list: "array"}
+_NAMES = {
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    str: "string",
+    dict: "object",
+    list: "array",
+    types.NoneType: "null",
+}
 
 
 def _at(where: str, key: str) -> str:
@@ -32,21 +40,35 @@ def _error(where: str, message: str) -> InvalidInputError:
 
 def check(value: Any, kind: Any, where: str) -> Any:
     """``value`` read as ``kind``: ``int`` (not a bool), ``float`` (an integer is widened),
-    ``bool``, ``str``, ``dict``, ``list``, ``X | None``, ``list[X]``, ``tuple[X, ...]``, a dataclass."""
+    ``bool``, ``str``, ``dict``, ``list``, ``list[X]``, ``tuple[X, ...]``, a union ``X | Y``
+    (read as the arm whose JSON type the value has; ``None`` reads as ``null``), a dataclass."""
+    if kind in _NAMES:  # a plain JSON type
+        if kind is float and type(value) is int:
+            return float(value)
+        if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+            return value
+        raise _error(where, f"expected {_NAMES[kind]}, got {reprlib.repr(value)}")
     origin = typing.get_origin(kind)
-    if origin in (types.UnionType, typing.Union):  # X | None
-        return None if value is None else check(value, typing.get_args(kind)[0], where)
+    if origin in (types.UnionType, typing.Union):
+        arms = typing.get_args(kind)
+        for arm in arms:
+            json_type = _json_type(arm)
+            if type(value) is json_type or (json_type is float and type(value) is int):
+                return check(value, arm, where)
+        names = " or ".join(_NAMES[_json_type(arm)] for arm in arms)
+        raise _error(where, f"expected {names}, got {reprlib.repr(value)}")
     if origin in (list, tuple):
         item = typing.get_args(kind)[0]
         items = [check(v, item, f"{where}[{i}]") for i, v in enumerate(check(value, list, where))]
         return items if origin is list else tuple(items)
-    if dataclasses.is_dataclass(kind):
-        return read_dataclass(kind, value, where)
-    if kind is float and type(value) is int:
-        return float(value)
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    raise _error(where, f"expected {_NAMES[kind]}, got {reprlib.repr(value)}")
+    return read_dataclass(kind, value, where)
+
+
+@functools.cache
+def _json_type(kind: Any) -> type:
+    """The type of the JSON value that ``kind`` is read from."""
+    origin = typing.get_origin(kind) or kind
+    return dict if dataclasses.is_dataclass(origin) else list if origin is tuple else origin
 
 
 def field(doc: dict, key: str, kind: Any, where: str, default: Any = dataclasses.MISSING) -> Any:
@@ -59,24 +81,26 @@ def field(doc: dict, key: str, kind: Any, where: str, default: Any = dataclasses
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, Any, Any], ...]:
+def _fields(cls: type) -> dict[str, tuple[Any, Any]]:
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.default) for f in dataclasses.fields(cls) if f.init)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.init}
 
 
 def read_dataclass(cls: type, doc: Any, where: str) -> Any:
     """``cls`` read field by field from the object ``doc``; absent keys take the field
-    defaults, and a key that names no field raises."""
+    defaults, and a key that names no field raises. A ``FieldError`` from ``cls``'s
+    checks is named ``<where>.<key>``."""
     doc = check(doc, dict, where)
     fields = _fields(cls)
-    names = {name for name, _, _ in fields}
     for key in doc:
-        if key not in names:
+        if key not in fields:
             # not ``_error``, whose strip of a root's ':' would eat a key's own
             raise InvalidInputError(f"{_at(where, key)}: unknown field")
-    values = {name: field(doc, name, kind, where, default) for name, kind, default in fields}
+    values = {name: field(doc, name, kind, where, default) for name, (kind, default) in fields.items()}
     try:
         return cls(**values)
+    except FieldError as e:
+        raise InvalidInputError(f"{_at(where, e.key)}: {e.message}") from None
     except InvalidInputError as e:
         raise _error(where, str(e)) from None
 

@@ -11,7 +11,7 @@ tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .costmodel import TallyReport
@@ -82,6 +82,17 @@ class RunSummary:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def mean_summary(summaries: Sequence[RunSummary]) -> RunSummary:
+    """The field-wise mean of run summaries, summed in order; an optional field
+    averages the runs that have it and stays ``None`` when none has."""
+
+    def mean(name: str) -> float | None:
+        values = [v for s in summaries if (v := getattr(s, name)) is not None]
+        return sum(values) / len(values) if values else None
+
+    return RunSummary(**{f.name: mean(f.name) for f in fields(RunSummary)})
 
 
 def summarize(

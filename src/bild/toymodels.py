@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 from .dist import ProbDist
 from .engine import vanilla_decode
 from .errors import InvalidInputError
-from .jsondoc import check, field, load_json, read_text
+from .jsondoc import load_json, read_dataclass, read_text
 from .models import LanguageModel
 from .sampling import Sampler
 from .vocab import EMPTY_SEQUENCE_MARK, Vocabulary
@@ -54,6 +55,7 @@ class TableLM(LanguageModel):
         self._vocabulary = vocabulary
         self._rows = dict(rows)
         self._default_row = default_row
+        self._longest = max(map(len, self._rows), default=0)
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -65,8 +67,12 @@ class TableLM(LanguageModel):
 
     def score_range(self, sequence: Sequence[int], start: int) -> list[ProbDist]:
         self._check_range(sequence, start)
-        seq = tuple(sequence)
-        return [self._rows.get(seq[:m], self._default_row) for m in range(start, len(seq) + 1)]
+        # No stored context is longer than self._longest, so longer prefixes
+        # take the default row and only the head up to it is copied.
+        head = tuple(sequence[: self._longest])
+        stop = len(head) + 1
+        rows = [self._rows.get(head[:m], self._default_row) for m in range(start, stop)]
+        return rows + [self._default_row] * (len(sequence) + 1 - max(start, stop))
 
 
 def load_table_lm(path: str | Path, vocabulary: Vocabulary) -> TableLM:
@@ -113,6 +119,17 @@ def save_table_lm(model: TableLM, path: str | Path) -> None:
     probs = " ".join(repr(p) for p in model.default_row.to_list())
     lines.append(f"{DEFAULT_ROW_MARK} | {probs}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class _NgramDocument:
+    """The fields of an n-gram JSON document; ``eos`` is needed only without a vocabulary file."""
+
+    order: int
+    smoothing: float
+    vocab_size: int
+    counts: list
+    eos: int | None = None
 
 
 class NgramLM(LanguageModel):
@@ -194,16 +211,21 @@ class NgramLM(LanguageModel):
             "eos": self._vocabulary.eos,
         }
 
+    def to_json_text(self) -> str:
+        """The n-gram document as one JSON line, the text ``save`` writes."""
+        return json.dumps(self.to_json_dict()) + "\n"
+
     @classmethod
     def from_json_dict(cls, data: dict, vocabulary: Vocabulary | None = None) -> "NgramLM":
-        data = check(data, dict, "")
-        size = field(data, "vocab_size", int, "")
+        doc = read_dataclass(_NgramDocument, data, "")
         if vocabulary is None:
-            vocabulary = Vocabulary(size=size, eos=field(data, "eos", int, ""))
-        elif vocabulary.size != size:
+            if doc.eos is None:
+                raise InvalidInputError("eos: required field is missing")
+            vocabulary = Vocabulary(size=doc.vocab_size, eos=doc.eos)
+        elif vocabulary.size != doc.vocab_size:
             raise InvalidInputError("vocabulary size does not match the n-gram document")
         counts: dict[tuple[tuple[int, ...], int], int] = {}
-        for entry in field(data, "counts", list, ""):
+        for entry in doc.counts:
             try:
                 ctx, tok, c = entry
                 key = (tuple(ctx), tok)
@@ -215,10 +237,10 @@ class NgramLM(LanguageModel):
                     f"counts: entry {entry!r} repeats the context and token of an earlier entry"
                 )
             counts[key] = c
-        return cls(vocabulary, field(data, "order", int, ""), field(data, "smoothing", float, ""), counts)
+        return cls(vocabulary, doc.order, doc.smoothing, counts)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n", encoding="utf-8")
+        Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, vocabulary: Vocabulary | None = None) -> "NgramLM":

@@ -126,9 +126,13 @@ def event_from_json_dict(data: dict) -> TraceEvent:
         raise InvalidTraceError(str(e)) from None
 
 
+def trace_text(trace: Iterable[TraceEvent]) -> str:
+    """The trace as JSON Lines, one event per line: the text ``save_trace`` writes."""
+    return "\n".join(json.dumps(event_to_json_dict(e)) for e in trace) + "\n"
+
+
 def save_trace(trace: Iterable[TraceEvent], path: str | Path) -> None:
-    lines = [json.dumps(event_to_json_dict(e)) for e in trace]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(trace_text(trace), encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> list[TraceEvent]:
@@ -227,7 +231,9 @@ class DecodeResult:
     counters: Counters
     extras: dict = field(default_factory=dict)
 
-    def summary_json_dict(self) -> dict:
+    def summary_text(self) -> str:
+        """The summary JSON document (sequence, length, counters, extras): the text
+        ``save_summary`` writes."""
         out = {
             "sequence": list(self.sequence),
             "length": len(self.sequence),
@@ -235,9 +241,7 @@ class DecodeResult:
         }
         if self.extras:
             out["extras"] = dict(self.extras)
-        return out
+        return json.dumps(out, indent=2) + "\n"
 
     def save_summary(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.summary_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(self.summary_text(), encoding="utf-8")

@@ -456,3 +456,71 @@ def test_bad_ngram_document_exits_1_naming_file_and_field(workspace, capsys, edi
     large_path.write_text(edit(json.loads(large_path.read_text())))
     assert main(["sweep", "--config", str(config_path)]) == 1
     _assert_one_error_line(capsys, f"{large_path}: {name}")
+
+
+MISSPELT_CONFIG_KEYS = {
+    "top_level": ((), "max_lenn"),
+    "model_entry": (("small_model",), "vocabb"),
+    "cost": (("cost",), "smal"),
+    "sweep": (("sweep",), "alpha_fbb"),
+}
+
+
+@pytest.mark.parametrize("section, key", list(MISSPELT_CONFIG_KEYS.values()), ids=list(MISSPELT_CONFIG_KEYS))
+def test_misspelt_config_key_exits_1_naming_it(workspace, capsys, section, key):
+    tmp_path, config_path, config, task = workspace
+    target = config
+    for name in section:
+        target = target.setdefault(name, {})
+    target[key] = 1
+    config_path.write_text(json.dumps(config))
+    assert main(["decode", "--config", str(config_path)]) == 1
+    dotted = ".".join((*section, key))
+    assert capsys.readouterr().err == f"error: {config_path}: {dotted}: unknown field\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_misspelt_ngram_key_exits_1_naming_it(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    large_path = tmp_path / "large.json"
+    large_path.write_text(json.dumps({**json.loads(large_path.read_text()), "ordr": 2}))
+    assert main(["decode", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {large_path}: ordr: unknown field\n"
+
+
+def test_model_entry_without_path_names_the_config(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"small_model": {"kind": "ngram"}}))
+    assert main(["decode", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: small_model.path: required field is missing\n"
+
+
+def test_unknown_model_kind_names_the_config_field(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    config["small_model"] = {"kind": "neural", "path": str(tmp_path / "missing.json")}
+    config_path.write_text(json.dumps(config))
+    assert main(["decode", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: small_model.kind: unknown model kind 'neural'\n"
+
+
+def test_every_command_checks_the_strategies_list(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    config["strategies"] = ["bild", "bogus"]
+    config_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {config_path}: strategies: unknown strategy 'bogus'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_strategies_flag_exits_1_naming_it(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    assert main(["compare", "--config", str(config_path), "--strategies", "bild, bogus"]) == 1
+    assert capsys.readouterr().err == "error: --strategies: unknown strategy 'bogus'\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "sweep", "compare"])
+def test_empty_prompts_file_exits_1_naming_it(workspace, capsys, command):
+    tmp_path, config_path, config, task = workspace
+    (tmp_path / "prompts.txt").write_text("\n")
+    assert main([command, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: prompts file {tmp_path / 'prompts.txt'} is empty\n"

@@ -167,6 +167,7 @@ DATACLASS_DOCUMENTS = {
     "sampler": (Sampler.from_json_dict, Sampler.nucleus(0.9, seed=3).to_json_dict()),
     "descriptor": (ModelDescriptor.from_json_dict, PRESETS["t5-small"].to_json_dict()),
     **{doc["event"]: (event_from_json_dict, doc) for doc in map(event_to_json_dict, EVENTS)},
+    "ngram": (NgramLM.from_json_dict, NGRAM),
 }
 
 
@@ -222,6 +223,21 @@ def test_check_widens_only_integers_to_floats(value, kind, expected):
 def test_check_coerces_nothing_else(value, kind, where):
     with pytest.raises(InvalidInputError, match=r"^" + re.escape(where) + ": expected"):
         check(value, kind, "x")
+
+
+def test_check_reads_a_union_as_the_arm_the_value_selects():
+    descriptor = PRESETS["t5-small"]
+    assert check(3, str | int, "w") == 3
+    assert check("3", str | int, "w") == "3"
+    assert check(descriptor.to_json_dict(), str | ModelDescriptor, "w") == descriptor
+    assert check("t5-small", str | ModelDescriptor, "w") == "t5-small"
+    got = check(2, str | float, "w")
+    assert got == 2.0 and type(got) is float
+    for value in (True, None, [3]):
+        with pytest.raises(InvalidInputError, match=r"^w: expected string or integer, got "):
+            check(value, str | int, "w")
+    with pytest.raises(InvalidInputError, match=r"^w\.layer: unknown field$"):
+        check({**descriptor.to_json_dict(), "layer": 6}, str | ModelDescriptor, "w")
 
 
 # Files: arbitrary bytes, and text over the characters the formats use.

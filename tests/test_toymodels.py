@@ -181,6 +181,30 @@ def test_score_range_rows_equal_full_padding_formula(corpus, order, seq, data):
             assert np.array_equal(g.probs, e.probs)
 
 
+
+@given(
+    contexts=st.lists(st.lists(st.integers(0, 2), max_size=4), max_size=6),
+    seq=st.lists(st.integers(0, 2), max_size=12),
+    data=st.data(),
+)
+def test_table_score_range_equals_plain_prefix_lookup(contexts, seq, data):
+    """Prefixes longer than every stored context, and the rest, give the row a
+    plain lookup of the whole prefix gives."""
+    vocab = Vocabulary(size=3, eos=2)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    table = make_table(vocab, default=[0.5, 0.3, 0.2], rows={tuple(c): _random_row(rng) for c in contexts})
+    start = data.draw(st.integers(0, len(seq)))
+    expected = [table._rows.get(tuple(seq[:m]), table.default_row) for m in range(start, len(seq) + 1)]
+    for sequence in (seq, TokenSequence(seq, vocab)):
+        got = table.score_range(sequence, start)
+        assert len(got) == len(expected) and all(g is e for g, e in zip(got, expected))
+
+
+def _random_row(rng: random.Random) -> list[float]:
+    weights = [rng.random() + 0.01 for _ in range(3)]
+    return [w / sum(weights) for w in weights]
+
+
 # corpus generation
 
 
