@@ -45,7 +45,7 @@ from .errors import (
 from .jsondoc import load_json, read_dataclass
 from .metrics import RunSummary, mean_summary, summarize, summary_csv_header, summary_csv_row
 from .models import LanguageModel
-from .policies import PolicyConfig
+from .policies import PolicyConfig, check_threshold
 from .sampling import Sampler
 from .speculative import SpecConfig, speculative_decode
 from .toymodels import NgramLM, align_small, fit_ngram, load_table_lm
@@ -125,7 +125,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The thresholds ``bild sweep`` runs: every ``alpha_fb`` with every ``alpha_rb``."""
+    """The thresholds ``bild sweep`` runs: every ``alpha_fb`` with every ``alpha_rb``;
+    each value obeys ``PolicyConfig``'s threshold rule."""
 
     alpha_fb: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9)
     alpha_rb: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0)
@@ -134,6 +135,8 @@ class SweepGrid:
         for key in ("alpha_fb", "alpha_rb"):
             if not getattr(self, key):
                 raise FieldError(key, "the grid must be non-empty")
+            for i, value in enumerate(getattr(self, key)):
+                check_threshold(f"{key}[{i}]", value)
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,12 @@ class ExperimentConfig:
                     raise FieldError(key, f"unknown strategy {name!r}")
         if len(self.strategies) < 2:
             raise FieldError("strategies", "compare needs at least 2 strategies")
+        if self.sampler.seed != 0:
+            raise FieldError(
+                "sampler.seed",
+                f"must be absent or 0, got {self.sampler.seed}: the top-level seed is the one seed, "
+                "and each run's seed derives from it",
+            )
 
 
 # override flag (its argparse dest) -> the config field it replaces, dotted through sections
@@ -312,7 +321,7 @@ def _resolve_descriptor(spec: str | ModelDescriptor, where: str) -> ModelDescrip
     if spec in PRESETS:
         return PRESETS[spec]
     if Path(spec).exists():
-        return ModelDescriptor.load(spec)
+        return read_dataclass(ModelDescriptor, load_json(spec), f"{spec}:")
     raise ConfigurationError(f"{where}: unknown cost-model descriptor {spec!r}")
 
 
@@ -442,6 +451,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_cost(args: argparse.Namespace) -> int:
     small_desc = _resolve_descriptor(args.small_desc, "--small-desc")
     large_desc = _resolve_descriptor(args.large_desc, "--large-desc")
+    if args.prompt_len < 0:
+        raise ConfigurationError(f"--prompt-len: must be >= 0, got {args.prompt_len}")
     if args.trace:
         if not Path(args.trace).exists():
             raise ConfigurationError(f"trace file not found: {args.trace}")

@@ -18,12 +18,10 @@ same input, so they cancel in every ratio.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .jsondoc import load_json, read_dataclass
 from .trace import (
     LOW_CONFIDENCE,
     Fallback,
@@ -56,17 +54,6 @@ class ModelDescriptor:
     def kv_bytes_per_token(self) -> int:
         """Bytes of one token's key+value entries across all layers."""
         return 2 * self.layers * self.hidden_dim * self.bytes_per_param
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelDescriptor":
-        return read_dataclass(cls, data, "")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ModelDescriptor":
-        return read_dataclass(cls, load_json(path), f"{path}:")
 
 
 # Published decoder configurations (parameter counts exclude embeddings).

@@ -71,15 +71,6 @@ def _json_type(kind: Any) -> type:
     return dict if dataclasses.is_dataclass(origin) else list if origin is tuple else origin
 
 
-def field(doc: dict, key: str, kind: Any, where: str, default: Any = dataclasses.MISSING) -> Any:
-    """``doc[key]`` read as ``kind``; ``default`` when absent, required without one."""
-    if key in doc:
-        return check(doc[key], kind, _at(where, key))
-    if default is dataclasses.MISSING:
-        raise _error(_at(where, key), "required field is missing")
-    return default
-
-
 @functools.cache
 def _fields(cls: type) -> dict[str, tuple[Any, Any]]:
     hints = typing.get_type_hints(cls)
@@ -96,7 +87,12 @@ def read_dataclass(cls: type, doc: Any, where: str) -> Any:
         if key not in fields:
             # not ``_error``, whose strip of a root's ':' would eat a key's own
             raise InvalidInputError(f"{_at(where, key)}: unknown field")
-    values = {name: field(doc, name, kind, where, default) for name, (kind, default) in fields.items()}
+    values = {}
+    for name, (kind, default) in fields.items():
+        if name in doc:
+            values[name] = check(doc[name], kind, _at(where, name))
+        elif default is dataclasses.MISSING:
+            raise _error(_at(where, name), "required field is missing")
     try:
         return cls(**values)
     except FieldError as e:

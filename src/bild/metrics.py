@@ -11,7 +11,7 @@ tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .costmodel import TallyReport
@@ -79,9 +79,6 @@ class RunSummary:
     agreement_with_reference: float | None = None
     perplexity_under_model: float | None = None
     modeled_speedup: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def mean_summary(summaries: Sequence[RunSummary]) -> RunSummary:

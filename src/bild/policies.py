@@ -16,18 +16,21 @@ back, and ``alpha_fb = 0`` never falls back, which leaves only the
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .dist import PROB_FLOOR, ProbDist
-from .errors import InvalidInputError
-from .jsondoc import load_json, read_dataclass
+from .errors import FieldError, InvalidInputError
 
 # Largest value the distance metric can take given the probability floor.
 MAX_DISTANCE = -math.log(PROB_FLOOR)
+
+
+def check_threshold(key: str, value: float) -> None:
+    """The rule for every threshold: finite and non-negative; a ``FieldError`` on ``key`` otherwise."""
+    if not (math.isfinite(value) and value >= 0):
+        raise FieldError(key, f"must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,8 @@ class PolicyConfig:
     verify_eos: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha_fb) and math.isfinite(self.alpha_rb)):
-            raise InvalidInputError(
-                f"thresholds must be finite, got alpha_fb={self.alpha_fb!r}, alpha_rb={self.alpha_rb!r}"
-            )
-        if self.alpha_fb < 0 or self.alpha_rb < 0:
-            raise InvalidInputError("thresholds must be non-negative")
+        check_threshold("alpha_fb", self.alpha_fb)
+        check_threshold("alpha_rb", self.alpha_rb)
         if self.window_cap < 1:
             raise InvalidInputError("window_cap must be >= 1")
 
@@ -68,20 +67,6 @@ class PolicyConfig:
     def with_fixed_window(self, k: int) -> "PolicyConfig":
         """A handover after exactly ``k`` drafts: no max probability is below 0."""
         return replace(self, alpha_fb=0.0, window_cap=k)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PolicyConfig":
-        return read_dataclass(cls, data, "")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PolicyConfig":
-        return read_dataclass(cls, load_json(path), f"{path}:")
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def should_fallback(small_dist: ProbDist, config: PolicyConfig) -> bool:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .dist import ProbDist
 from .errors import InvalidInputError
-from .jsondoc import read_dataclass
 
 GREEDY = "greedy"
 NUCLEUS = "nucleus"
@@ -62,20 +61,6 @@ class Sampler:
     @property
     def is_stochastic(self) -> bool:
         return self.kind != GREEDY
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == NUCLEUS:
-            out["p"] = self.p
-        if self.kind == TEMPERATURE:
-            out["t"] = self.t
-        if self.is_stochastic:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Sampler":
-        return read_dataclass(cls, data, "")
 
 
 def nucleus_support(probs: np.ndarray, p: float) -> list[int]:

@@ -109,18 +109,6 @@ def load_table_lm(path: str | Path, vocabulary: Vocabulary) -> TableLM:
     return TableLM(vocabulary, rows, default_row)
 
 
-def save_table_lm(model: TableLM, path: str | Path) -> None:
-    vocab = model.vocabulary
-    lines = []
-    for ctx in sorted(model._rows):
-        ctx_str = " ".join(vocab.symbol(t) for t in ctx) if ctx else EMPTY_SEQUENCE_MARK
-        probs = " ".join(repr(p) for p in model._rows[ctx].to_list())
-        lines.append(f"{ctx_str} | {probs}")
-    probs = " ".join(repr(p) for p in model.default_row.to_list())
-    lines.append(f"{DEFAULT_ROW_MARK} | {probs}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 @dataclass(frozen=True)
 class _NgramDocument:
     """The fields of an n-gram JSON document; ``eos`` is needed only without a vocabulary file."""

@@ -217,9 +217,6 @@ class Counters:
     small_calls: int = 0
     large_calls: int = 0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -237,7 +234,7 @@ class DecodeResult:
         out = {
             "sequence": list(self.sequence),
             "length": len(self.sequence),
-            "counters": self.counters.to_json_dict(),
+            "counters": asdict(self.counters),
         }
         if self.extras:
             out["extras"] = dict(self.extras)

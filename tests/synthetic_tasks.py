@@ -1,4 +1,4 @@
-"""Seeded synthetic task families for the test suite and demos.
+"""Seeded synthetic task families, and a table-model file writer, for the test suite.
 
 The two-phrasing family pits a small model trained on one phrasing of a
 template language against a large model that prefers a different wording
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
-from .policies import PolicyConfig
-from .sampling import Sampler
-from .toymodels import NgramLM, fit_ngram, generate_corpus
-from .vocab import Vocabulary
+from bild import NgramLM, PolicyConfig, Sampler, TableLM, Vocabulary, fit_ngram, generate_corpus
+from bild.toymodels import DEFAULT_ROW_MARK
+from bild.vocab import EMPTY_SEQUENCE_MARK
 
 # Token roles within the template language (eos is id 7).
 STARTER_A, STARTER_B = 0, 1
@@ -143,3 +143,16 @@ def skill_gap_task(seed: int, large_samples: int = 120, small_samples: int = 10)
         heldout=heldout,
         eval_prompts=[[], [STARTER_A], [STARTER_B]],
     )
+
+
+def save_table_lm(model: TableLM, path: str | Path) -> None:
+    """Write ``model`` in the table-model file format ``load_table_lm`` reads."""
+    vocab = model.vocabulary
+    lines = []
+    for ctx in sorted(model._rows):
+        ctx_str = " ".join(vocab.symbol(t) for t in ctx) if ctx else EMPTY_SEQUENCE_MARK
+        probs = " ".join(repr(p) for p in model._rows[ctx].to_list())
+        lines.append(f"{ctx_str} | {probs}")
+    probs = " ".join(repr(p) for p in model.default_row.to_list())
+    lines.append(f"{DEFAULT_ROW_MARK} | {probs}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -31,7 +31,7 @@ from bild import (
     vanilla_decode,
 )
 from bild.cli import main as cli_main
-from bild.synthetic import VOCAB, skill_gap_task, two_phrasing_task
+from synthetic_tasks import VOCAB, skill_gap_task, two_phrasing_task
 from bild.trace import Fallback, LargeVerify, Rollback, SmallStep
 from conftest import make_table, random_corpus, random_model_pair
 
@@ -285,7 +285,7 @@ def test_criterion_10_sweep_reproducibility(tmp_path):
         "small_model": {"kind": "ngram", "path": str(small_path), "vocab": str(vocab_path)},
         "large_model": {"kind": "ngram", "path": str(large_path), "vocab": str(vocab_path)},
         "policy": {"alpha_fb": 0.6, "alpha_rb": 2.0, "window_cap": 3},
-        "sampler": {"kind": "nucleus", "p": 0.9, "seed": 17},
+        "sampler": {"kind": "nucleus", "p": 0.9},
         "prompts": str(prompts_path),
         "max_len": 12,
         "seed": 17,

@@ -7,7 +7,7 @@ import pytest
 
 from bild import PolicyConfig, Sampler, fit_ngram, save_corpus, vanilla_decode
 from bild.cli import STRATEGIES, Experiment, derive_seed, main
-from bild.synthetic import VOCAB, two_phrasing_task
+from synthetic_tasks import VOCAB, two_phrasing_task
 
 
 @pytest.fixture
@@ -366,6 +366,7 @@ BAD_CONFIGS = {
     "fixed_window_k_zero": (("fixed_window_k",), 0, "fixed_window_k"),
     "cost_peak_flops_alone": (("cost",), {"peak_flops": 1e12}, "cost.peak_bandwidth"),
     "cost_peak_flops_zero": (("cost",), {"peak_flops": 0.0, "peak_bandwidth": 1e11}, "cost.peak_flops"),
+    "sampler_seed_nonzero": (("sampler", "seed"), 3, "sampler.seed"),
 }
 
 
@@ -390,6 +391,7 @@ BAD_COST_FLAGS = {
     "peak_flops_alone": (["--peak-flops", "1e12"], "--peak-bandwidth"),
     "peak_bandwidth_alone": (["--peak-bandwidth", "1e11"], "--peak-flops"),
     "peak_flops_zero": (["--peak-flops", "0", "--peak-bandwidth", "1e11"], "--peak-flops"),
+    "prompt_len_negative": (["--prompt-len", "-1"], "--prompt-len"),
 }
 
 
@@ -456,6 +458,34 @@ def test_bad_ngram_document_exits_1_naming_file_and_field(workspace, capsys, edi
     large_path.write_text(edit(json.loads(large_path.read_text())))
     assert main(["sweep", "--config", str(config_path)]) == 1
     _assert_one_error_line(capsys, f"{large_path}: {name}")
+
+
+BAD_SWEEP_VALUES = {"nan": float("nan"), "inf": float("inf"), "negative": -0.5}
+
+
+@pytest.mark.parametrize("key", ["alpha_fb", "alpha_rb"])
+@pytest.mark.parametrize("value", list(BAD_SWEEP_VALUES.values()), ids=list(BAD_SWEEP_VALUES))
+def test_bad_sweep_value_exits_1_naming_its_index(workspace, capsys, monkeypatch, key, value):
+    tmp_path, config_path, config, task = workspace
+    config["sweep"] = {key: [0.5, value]}
+    config_path.write_text(json.dumps(config))
+    decodes = []
+    monkeypatch.setattr(Experiment, "run_strategy", lambda *a: decodes.append(a))
+    assert main(["sweep", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: sweep.{key}[1]: must be finite and >= 0, got {value!r}\n"
+    )
+    assert decodes == [] and not (tmp_path / "out").exists()
+
+
+def test_sampler_seed_error_names_the_one_seed(workspace, capsys):
+    tmp_path, config_path, config, task = workspace
+    config["sampler"] = {"kind": "nucleus", "p": 0.9, "seed": 17}
+    config_path.write_text(json.dumps(config))
+    assert main(["decode", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: sampler.seed: ") and "top-level seed is the one seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 MISSPELT_CONFIG_KEYS = {

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from bild import (
@@ -16,6 +18,7 @@ from bild import (
     vanilla_decode,
 )
 from bild.costmodel import latency_proxy
+from bild.jsondoc import read_dataclass
 from bild.trace import Fallback, Rollback, SmallStep
 from conftest import random_model_pair
 
@@ -89,7 +92,7 @@ def test_tally_additivity():
 def test_descriptor_validation_and_json():
     with pytest.raises(InvalidInputError):
         ModelDescriptor(layers=0, hidden_dim=512, ffn_dim=1024, decoder_params=1)
-    data = T5_LARGE.to_json_dict()
+    data = asdict(T5_LARGE)
     assert data == {
         "layers": 24,
         "hidden_dim": 1024,
@@ -97,7 +100,7 @@ def test_descriptor_validation_and_json():
         "decoder_params": 402_000_000,
         "bytes_per_param": 2,
     }
-    assert ModelDescriptor.from_json_dict(data) == T5_LARGE
+    assert read_dataclass(ModelDescriptor, data, "") == T5_LARGE
 
 
 def test_kv_bytes_per_token():

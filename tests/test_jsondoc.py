@@ -9,6 +9,7 @@ import json
 import random
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,8 @@ from bild import (
     save_corpus,
 )
 from bild.cli import Experiment
-from bild.jsondoc import check
-from bild.synthetic import VOCAB, two_phrasing_task
+from bild.jsondoc import check, read_dataclass
+from synthetic_tasks import VOCAB, two_phrasing_task
 from bild.toymodels import BOS, load_table_lm
 from bild.trace import (
     Eos,
@@ -79,11 +80,11 @@ EVENTS = [
 ]
 READERS = {
     "policy": (
-        PolicyConfig.from_json_dict,
-        near(PolicyConfig(0.6, 2.0, verify_eos=True).with_fixed_window(3).to_json_dict()),
+        lambda d: read_dataclass(PolicyConfig, d, ""),
+        near(asdict(PolicyConfig(0.6, 2.0, verify_eos=True).with_fixed_window(3))),
     ),
-    "sampler": (Sampler.from_json_dict, near(Sampler.nucleus(0.9, seed=3).to_json_dict())),
-    "descriptor": (ModelDescriptor.from_json_dict, near(PRESETS["t5-small"].to_json_dict())),
+    "sampler": (lambda d: read_dataclass(Sampler, d, ""), near(asdict(Sampler.nucleus(0.9, seed=3)))),
+    "descriptor": (lambda d: read_dataclass(ModelDescriptor, d, ""), near(asdict(PRESETS["t5-small"]))),
     "event": (
         event_from_json_dict,
         st.sampled_from([event_to_json_dict(e) for e in EVENTS]).flatmap(near),
@@ -156,16 +157,16 @@ def _through_json(data: dict) -> dict:
     event=events,
 )
 def test_valid_instances_round_trip(policy, sampler, descriptor, event):
-    assert PolicyConfig.from_json_dict(_through_json(policy.to_json_dict())) == policy
-    assert Sampler.from_json_dict(_through_json(sampler.to_json_dict())) == sampler
-    assert ModelDescriptor.from_json_dict(_through_json(descriptor.to_json_dict())) == descriptor
+    assert read_dataclass(PolicyConfig, _through_json(asdict(policy)), "") == policy
+    assert read_dataclass(Sampler, _through_json(asdict(sampler)), "") == sampler
+    assert read_dataclass(ModelDescriptor, _through_json(asdict(descriptor)), "") == descriptor
     assert event_from_json_dict(_through_json(event_to_json_dict(event))) == event
 
 
 DATACLASS_DOCUMENTS = {
-    "policy": (PolicyConfig.from_json_dict, PolicyConfig(0.6, 2.0).to_json_dict()),
-    "sampler": (Sampler.from_json_dict, Sampler.nucleus(0.9, seed=3).to_json_dict()),
-    "descriptor": (ModelDescriptor.from_json_dict, PRESETS["t5-small"].to_json_dict()),
+    "policy": (lambda d: read_dataclass(PolicyConfig, d, ""), asdict(PolicyConfig(0.6, 2.0))),
+    "sampler": (lambda d: read_dataclass(Sampler, d, ""), asdict(Sampler.nucleus(0.9, seed=3))),
+    "descriptor": (lambda d: read_dataclass(ModelDescriptor, d, ""), asdict(PRESETS["t5-small"])),
     **{doc["event"]: (event_from_json_dict, doc) for doc in map(event_to_json_dict, EVENTS)},
     "ngram": (NgramLM.from_json_dict, NGRAM),
 }
@@ -229,7 +230,7 @@ def test_check_reads_a_union_as_the_arm_the_value_selects():
     descriptor = PRESETS["t5-small"]
     assert check(3, str | int, "w") == 3
     assert check("3", str | int, "w") == "3"
-    assert check(descriptor.to_json_dict(), str | ModelDescriptor, "w") == descriptor
+    assert check(asdict(descriptor), str | ModelDescriptor, "w") == descriptor
     assert check("t5-small", str | ModelDescriptor, "w") == "t5-small"
     got = check(2, str | float, "w")
     assert got == 2.0 and type(got) is float
@@ -237,7 +238,7 @@ def test_check_reads_a_union_as_the_arm_the_value_selects():
         with pytest.raises(InvalidInputError, match=r"^w: expected string or integer, got "):
             check(value, str | int, "w")
     with pytest.raises(InvalidInputError, match=r"^w\.layer: unknown field$"):
-        check({**descriptor.to_json_dict(), "layer": 6}, str | ModelDescriptor, "w")
+        check({**asdict(descriptor), "layer": 6}, str | ModelDescriptor, "w")
 
 
 # Files: arbitrary bytes, and text over the characters the formats use.
@@ -285,7 +286,7 @@ def config(tmp_path_factory):
         "prompts": str(tmp / "prompts.txt"),
         "max_len": 8,
         "seed": 0,
-        "cost": {"small": "t5-small", "large": PRESETS["t5-large"].to_json_dict()},
+        "cost": {"small": "t5-small", "large": asdict(PRESETS["t5-large"])},
     }
     Experiment(_write(tmp / "valid.json", data), argparse.Namespace())  # the base is valid
     return tmp, data

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -151,7 +151,7 @@ def digest(case: str) -> str:
             record = {
                 "sequence": result.sequence,
                 "provenance": result.provenance,
-                "counters": result.counters.to_json_dict(),
+                "counters": asdict(result.counters),
                 "extras": result.extras,
             }
             h.update(json.dumps(record, sort_keys=True).encode())

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from bild import (
     find_rollback_position,
     should_fallback,
 )
+from bild.jsondoc import load_json, read_dataclass
 
 
 def dist(*probs):
@@ -167,19 +168,19 @@ def test_config_has_four_fields():
 
 def test_config_json_roundtrip(tmp_path):
     config = PolicyConfig(alpha_fb=0.7, alpha_rb=3.0, window_cap=10)
-    data = config.to_json_dict()
+    data = asdict(config)
     assert data == {"alpha_fb": 0.7, "alpha_rb": 3.0, "window_cap": 10, "verify_eos": False}
-    assert PolicyConfig.from_json_dict(data) == config
+    assert read_dataclass(PolicyConfig, data, "") == config
     path = tmp_path / "policy.json"
-    config.save(path)
-    assert PolicyConfig.load(path) == config
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    assert read_dataclass(PolicyConfig, load_json(path), f"{path}:") == config
 
 
 def test_fixed_window_json_roundtrip():
     config = PolicyConfig(alpha_fb=0.7, alpha_rb=3.0, verify_eos=True).with_fixed_window(4)
-    data = config.to_json_dict()
+    data = asdict(config)
     assert data == {"alpha_fb": 0.0, "alpha_rb": 3.0, "window_cap": 4, "verify_eos": True}
-    assert PolicyConfig.from_json_dict(data) == config
+    assert read_dataclass(PolicyConfig, data, "") == config
 
 
 def test_ablations_are_threshold_settings():
@@ -214,4 +215,4 @@ def test_removed_or_misspelt_keys_fail_at_load(tmp_path, doc, key):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: {key}: unknown field$"):
-        PolicyConfig.load(path)
+        read_dataclass(PolicyConfig, load_json(path), f"{path}:")

@@ -1,4 +1,4 @@
-"""Direction tests on the shipped synthetic task families."""
+"""Direction tests on the synthetic task families of tests/synthetic_tasks.py."""
 
 import statistics
 
@@ -13,7 +13,7 @@ from bild import (
     perplexity,
     vanilla_decode,
 )
-from bild.synthetic import skill_gap_task, two_phrasing_task
+from synthetic_tasks import skill_gap_task, two_phrasing_task
 
 MAX_LEN = 12
 

@@ -16,9 +16,10 @@ from bild import (
     fit_ngram,
     generate_corpus,
 )
-from bild.toymodels import BOS, load_table_lm, save_table_lm
+from bild.toymodels import BOS, load_table_lm
 from bild.vocab import TokenSequence
 from conftest import make_table, random_corpus
+from synthetic_tasks import save_table_lm
 
 
 @pytest.fixture
