@@ -14,11 +14,11 @@ call ``score_range(working, b)`` returning ``k + 1`` distributions. Only
 the positions asked for are scored, mirroring an incremental (KV-cached)
 verify.
 
-Scoring validates its tokens. A plain sequence is walked on every call,
-which costs O(len(y)) per call. A ``vocab.TokenSequence`` was validated
-once, as each token entered it, and passes at once; the decode loops hold
-their working sequence as one, so a step's cost does not grow with the
-sequence's length.
+Scoring validates its tokens. A plain sequence is checked on every call
+(a list or tuple in C-speed passes), which costs O(len(y)) per call. A
+``vocab.TokenSequence`` was validated once, as each token entered it, and
+passes at once; the decode loops hold their working sequence as one, so a
+step's cost does not grow with the sequence's length.
 """
 
 from __future__ import annotations

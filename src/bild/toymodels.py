@@ -190,7 +190,10 @@ class NgramLM(LanguageModel):
         return ProbDist(probs)
 
     def to_json_dict(self) -> dict:
-        counts = sorted((list(ctx), tok, c) for (ctx, tok), c in self.counts.items())
+        # (context, token) pairs are unique, so sorting contexts, then each row's
+        # (token, count) pairs, gives sorted() of the entries; json writes tuples as arrays.
+        rows = self._rows
+        counts = [(ctx, tok, c) for ctx in sorted(rows) for tok, c in sorted(zip(*rows[ctx]))]
         return {
             "order": self.order,
             "smoothing": self.smoothing,
@@ -253,13 +256,24 @@ def fit_ngram(
     """
     if len(corpus) == 0:
         raise InvalidInputError("corpus must be non-empty")
-    counts: Counter[tuple[tuple[int, ...], int]] = Counter()
+    grams: Counter[tuple[int, ...]] = Counter()
     width = order - 1
     for seq in corpus:
         vocabulary.validate_sequence(seq)
         padded = (BOS,) * width + tuple(seq)
-        counts.update((padded[i : i + width], token) for i, token in enumerate(seq))
-    return NgramLM(vocabulary, order, smoothing, counts)
+        # the windows padded[i : i + order], one per token, zipped from shifted copies
+        grams.update(zip(*(padded[j:] for j in range(order))))
+    # Every id was checked above, so the counts skip the constructor's per-entry checks.
+    model = NgramLM(vocabulary, order, smoothing, {})
+    rows = model._rows
+    for gram, c in grams.items():
+        ctx = gram[:-1]
+        row = rows.get(ctx)
+        if row is None:
+            row = rows[ctx] = ([], [])
+        row[0].append(gram[-1])
+        row[1].append(c)
+    return model
 
 
 def generate_corpus(

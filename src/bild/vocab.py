@@ -39,7 +39,7 @@ class Vocabulary:
             raise InvalidInputError("token symbols must be distinct")
 
     def validate_token(self, token: int) -> None:
-        if not isinstance(token, int):
+        if type(token) is not int:  # bool, numpy integers and other int look-alikes are refused
             raise InvalidInputError(
                 f"token id {token!r} has type {type(token).__module__}.{type(token).__qualname__}, not int"
             )
@@ -47,18 +47,34 @@ class Vocabulary:
             raise InvalidInputError(f"token id {token!r} out of range [0, {self.size})")
 
     def validate_sequence(self, tokens: Iterable[int]) -> None:
-        """Check every id; a ``TokenSequence`` checked against no larger a size passes at once."""
+        """Check every id; a ``TokenSequence`` checked against no larger a size passes at once.
+
+        A list or tuple of in-range ints passes in three C-speed passes;
+        anything else, a bad id included, is walked by ``validate_token``,
+        which names the first bad id.
+        """
         if isinstance(tokens, TokenSequence) and tokens.size <= self.size:
+            return
+        if (
+            type(tokens) in (list, tuple)
+            and set(map(type, tokens)) == {int}
+            and 0 <= min(tokens)
+            and max(tokens) < self.size
+        ):
             return
         for t in tokens:
             self.validate_token(t)
 
     def symbol(self, token: int) -> str:
         """Display string for a token id."""
-        self.validate_token(token)
+        return self.symbols((token,))[0]
+
+    def symbols(self, tokens: Sequence[int]) -> list[str]:
+        """Display strings for a sequence of token ids, checked once."""
+        self.validate_sequence(tokens)
         if self.tokens is not None:
-            return self.tokens[token]
-        return EOS_SYMBOL if token == self.eos else str(token)
+            return [self.tokens[t] for t in tokens]
+        return [EOS_SYMBOL if t == self.eos else str(t) for t in tokens]
 
     def id_of(self, symbol: str) -> int:
         """Token id for a symbol (or a bare integer id when symbols are unset)."""
@@ -135,7 +151,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
-    symbols = [vocabulary.symbol(t) for t in range(vocabulary.size)]
+    symbols = vocabulary.symbols(tuple(range(vocabulary.size)))
     Path(path).write_text("\n".join(symbols) + "\n", encoding="utf-8")
 
 
@@ -166,7 +182,7 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary) -> list[list[int]]:
 def format_sequence(tokens: Sequence[int], vocabulary: Vocabulary) -> str:
     if not tokens:
         return EMPTY_SEQUENCE_MARK
-    return " ".join(vocabulary.symbol(t) for t in tokens)
+    return " ".join(vocabulary.symbols(tokens))
 
 
 def save_corpus(sequences: Iterable[Sequence[int]], vocabulary: Vocabulary, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -269,6 +270,26 @@ def test_cost_command_from_trace(workspace, capsys):
     assert main(["cost", "--trace", str(trace)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["bild"]["mops"] > 0
+
+
+# sha256 of the workspace corpus file and of `bild fit` on it, per (order, smoothing)
+CORPUS_SHA256 = "36432f1c9469ad60bc206b61c5754c000b486f91417bb829e8eb7cae8126056c"
+FIT_SHA256 = {
+    (1, "0.5"): "8adc7f7c3ea72ab64568365b5db8bcaffce0f18dd4bd52df41171cdf2c3cf0dc",
+    (2, "0.05"): "eef5da54b27455ee9ea5809eb8bd658de159ee46f90af852de70cec36293a6b6",
+    (3, "1e-06"): "ced943ab39a9ae579affed7bef7f97984be92b3e0dcf2ad3c2b9641d40c673fa",
+}
+
+
+@pytest.mark.parametrize("order, smoothing", list(FIT_SHA256))
+def test_fit_output_bytes_are_pinned(workspace, capsys, order, smoothing):
+    tmp_path, _, _, _ = workspace
+    corpus, fitted = tmp_path / "corpus.txt", tmp_path / "fitted.json"
+    assert hashlib.sha256(corpus.read_bytes()).hexdigest() == CORPUS_SHA256
+    args = ["fit", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+            "--order", str(order), "--smoothing", smoothing, "--out", str(fitted)]
+    assert main(args) == 0
+    assert hashlib.sha256(fitted.read_bytes()).hexdigest() == FIT_SHA256[order, smoothing]
 
 
 def test_fit_and_align_commands(workspace, capsys):

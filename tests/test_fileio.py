@@ -18,6 +18,7 @@ from bild import (
     save_vocabulary,
 )
 from bild.cli import main
+from bild.vocab import format_sequence
 from bild.trace import (
     Fallback,
     LargeVerify,
@@ -66,6 +67,30 @@ def test_corpus_roundtrip(tmp_path):
     out = tmp_path / "out.txt"
     save_corpus(corpus, vocab, out)
     assert load_corpus(out, vocab) == corpus
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(3, "token id 3 out of range [0, 3)"), (-1, "token id -1 out of range [0, 3)"),
+     (True, "token id True has type builtins.bool, not int"), (1.0, "token id 1.0 has type builtins.float, not int")],
+)
+def test_saving_a_bad_id_names_it_and_writes_nothing(tmp_path, bad, message):
+    vocab = Vocabulary(size=3, eos=2, tokens=("a", "b", "<eos>"))
+    out = tmp_path / "out.txt"
+    for seq in ([0, bad, 7], (1, 0, bad)):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            save_corpus([[0, 1], seq], vocab, out)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            format_sequence(seq, vocab)
+    assert not out.exists()
+
+
+def test_symbols_without_a_symbol_list_are_ids(tmp_path):
+    vocab = Vocabulary(size=3, eos=1)
+    assert format_sequence([2, 1, 0], vocab) == "2 <eos> 0"
+    out = tmp_path / "vocab.txt"
+    save_vocabulary(vocab, out)
+    assert out.read_text() == "0\n<eos>\n2\n"
 
 
 def test_corpus_rejects_unknown_symbol(tmp_path):

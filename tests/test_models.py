@@ -199,11 +199,13 @@ def test_token_sequence_from_a_larger_vocabulary_is_walked(vocab5, monkeypatch):
             model.score_range(TokenSequence([5, 1], wide), 1)
     ngram = _scorers(vocab5)[0]
     calls = _count_validations(monkeypatch)
-    ngram.score_range(TokenSequence([0, 1, 2], wide), 3)
-    assert calls[0] == 3 + 3  # once when built, once walked by the smaller model
+    seq = TokenSequence([0, 1, 2], wide)
+    assert calls[0] == 0  # a list of in-range ints is checked without validate_token
+    ngram.score_range(seq, 3)
+    assert calls[0] == 3  # the smaller model walks every id
 
 
-@pytest.mark.parametrize("bad", [-1, 5, 2.0, np.int64(1), "1"])
+@pytest.mark.parametrize("bad", [-1, 5, 2.0, np.int64(1), "1", True])
 def test_token_sequence_rejects_bad_ids(vocab5, bad):
     with pytest.raises(InvalidInputError, match="token id"):
         TokenSequence([0, bad], vocab5)
@@ -211,3 +213,50 @@ def test_token_sequence_rejects_bad_ids(vocab5, bad):
     with pytest.raises(InvalidInputError, match="token id"):
         seq.append(bad)
     assert list(seq) == [0]
+
+
+def _walk(vocabulary: Vocabulary, tokens) -> None:
+    """``validate_sequence``'s reference: check each id in turn."""
+    for t in tokens:
+        if type(t) is not int:
+            raise InvalidInputError(
+                f"token id {t!r} has type {type(t).__module__}.{type(t).__qualname__}, not int"
+            )
+        if not 0 <= t < vocabulary.size:
+            raise InvalidInputError(f"token id {t!r} out of range [0, {vocabulary.size})")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as e:  # any type: the two paths must raise the same one
+        return type(e), str(e)
+    return None
+
+
+@st.composite
+def _id_sequences(draw):
+    size = draw(st.integers(2, 40))
+    valid = st.integers(0, size - 1)
+    odd = st.one_of(
+        st.booleans(),
+        st.integers(-3, -1),
+        st.integers(size, size + 3),
+        st.integers(2**63 - 1, 2**70) | st.integers(-(2**70), -(2**63)),
+        valid.map(np.int64),
+        st.floats(allow_nan=True),
+        st.text(max_size=2),
+    )
+    # most sequences are valid, or hold one odd id among valid ones
+    tokens = draw(st.lists(valid, max_size=10))
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
+    elif draw(st.booleans()):
+        tokens = draw(st.lists(valid | odd, max_size=6))
+    return Vocabulary(size=size, eos=size - 1), draw(st.sampled_from([list, tuple]))(tokens)
+
+
+@given(case=_id_sequences())
+def test_validate_sequence_agrees_with_the_walk(case):
+    vocabulary, tokens = case
+    assert _outcome(vocabulary.validate_sequence, tokens) == _outcome(_walk, vocabulary, tokens)

@@ -69,6 +69,11 @@ def test_fit_rejects_empty_corpus(vocab3):
         fit_ngram([[A]], 2, 0.0, vocab3)
 
 
+def test_fit_rejects_a_bool_token(vocab3):
+    with pytest.raises(InvalidInputError, match=re.escape("token id True has type builtins.bool, not int")):
+        fit_ngram([[True, 0, 1]], 2, 1.0, vocab3)
+
+
 def test_conditionals_sum_to_one(vocab3):
     rng = random.Random(0)
     for order in (1, 2, 3):
@@ -160,6 +165,39 @@ def test_fit_counts_equal_naive_window_count(corpus, order):
             key = (tuple(padded[i : i + order - 1]), padded[i + order - 1])
             naive[key] = naive.get(key, 0) + 1
     assert model.counts == naive
+
+
+def _reference_text(model: NgramLM) -> str:
+    """The n-gram document with its ``[context, token, count]`` entries sorted as lists."""
+    counts = sorted((list(ctx), tok, c) for (ctx, tok), c in model.counts.items())
+    doc = {
+        "order": model.order,
+        "smoothing": model.smoothing,
+        "vocab_size": model.vocabulary.size,
+        "counts": counts,
+        "eos": model.vocabulary.eos,
+    }
+    return json.dumps(doc) + "\n"
+
+
+@st.composite
+def _fit_cases(draw):
+    size = draw(st.integers(2, 64))
+    corpus = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=12), min_size=1, max_size=6))
+    probe = draw(st.lists(st.integers(0, size - 1), max_size=8))
+    return Vocabulary(size=size, eos=size - 1), corpus, draw(st.integers(1, 4)), probe
+
+
+@given(case=_fit_cases(), smoothing=st.sampled_from([1e-6, 0.05, 0.5, 1.0]))
+def test_fitted_text_and_its_reload_match_the_sorted_writer(case, smoothing):
+    vocab, corpus, order, probe = case
+    model = fit_ngram(corpus, order, smoothing, vocab)
+    text = model.to_json_text()
+    assert text == _reference_text(model)
+    loaded = NgramLM.from_json_dict(json.loads(text), vocab)
+    assert loaded.counts == model.counts
+    for got, expected in zip(model.score_range(probe, 0), loaded.score_range(probe, 0), strict=True):
+        assert got.probs.tobytes() == expected.probs.tobytes()
 
 
 @given(
