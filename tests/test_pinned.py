@@ -1,10 +1,12 @@
 """Pinned outputs of every decoder: vanilla, the oracle blend, and every
-draft-and-verify loop.
+draft-and-verify loop, and the cost reports priced from their traces.
 
 Each case hashes, over ~30 random model pairs and two prompts each, the
 sequence, provenance, counters, extras and the JSON lines of the trace.
 The digests were recorded from the reference implementation; a refactor of
-the decode loops must reproduce them exactly. A change that alters outputs
+the decode loops must reproduce them exactly. The cost digests hash the
+``tally_trace`` reports of the same traces and the stdout of ``bild
+cost``; a refactor of the cost model must reproduce those too. A change that alters outputs
 on purpose takes the new digests from the failure messages and says why.
 """
 
@@ -19,14 +21,18 @@ import pytest
 
 from bild import (
     MAX_DISTANCE,
+    PRESETS,
     PolicyConfig,
+    RooflinePeaks,
     Sampler,
     SpecConfig,
     bild_decode,
     oracle_blend_decode,
     speculative_decode,
+    tally_trace,
     vanilla_decode,
 )
+from bild.cli import main
 from bild.engine import FIXED_WINDOW_VARIANT, NO_ROLLBACK, ablation_decode
 from bild.trace import event_to_json_dict
 from conftest import random_model_pair
@@ -163,3 +169,83 @@ def digest(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_pinned_digest(case):
     assert digest(case) == DIGESTS[case]
+
+
+# Cost reports of the pinned decoders' traces. Each trace is priced with its
+# own and with a longer prompt, under the decoder's budget and a shorter cut,
+# and with and without device peaks. The digests were recorded from the
+# per-event tally that summed one ``step_cost`` per model call.
+COST_PEAKS = (None, RooflinePeaks(peak_flops=1.2e14, peak_bandwidth=9.0e11))
+COST_DESCS = (("t5-small", "t5-large"), ("mt5-small", "mt5-large"))
+
+COST_DIGESTS = {
+    "ablation_fixed_window": "5d2ffb018e8f2b7d4403b8b6a730b455cbf62abdbddae4223e62f46e9ad0336f",
+    "ablation_no_rollback": "7ac69afd786750bffb431a87b6ca1a37042b8bd813545fee8052c3b29be1f04d",
+    "bild_greedy": "1ba5e3d907e35599fba8e3f19ff8f87247e6f8e83602e64663a49e1f3d9f4e09",
+    "bild_nucleus": "f6ca547f2a8910d9265b6a39475865cf3ef5afae7af3713ee0273b13f85cb42f",
+    "bild_rollback_off": "302079d0e6928af57b2aef7db2faee9aec9a671f255b9215b315b54efbdff323",
+    "bild_temperature": "4bcd0ae58fd67d6ea8876f371ceae1b48c12c6127637e410dbc4b9fc541c8685",
+    "bild_verify_eos": "ddca9618bc6bb9d44a0ed2bb7a569683c2aaf3d4711f1c2af662e50585156cca",
+    "blend_t0.2_greedy": "7863c15d58042886084ec476c27d49fa26589d3d04df7cc6e0cf24686de4c022",
+    "blend_t0.2_nucleus": "acf496b1d1015da62f0675311995021746b814e1c3c4526fba251d353697a9c2",
+    "blend_t0.8_greedy": "d7680b290f94de18588ec962a36ba0827ac75c11a31e0d2d0594053724ff1ddc",
+    "blend_t0.8_nucleus": "d040fdb2a83349d21ad796fd0e72661b1713c4eda789df74800f838eeb1dcf17",
+    "speculative_w1_greedy": "cb257e5eaec12f6855f5dfcad42ca59eebfa99c878b77873439dcd50c770944d",
+    "speculative_w1_nucleus": "36c60e0798ef9882858e87c6849ba4837a3a63be3434630429c08ae83b6a35a5",
+    "speculative_w1_temperature": "bdd4f580beec78cae3078765a150f98f9134e2baf8dc2da7fc47f2a6013978a6",
+    "speculative_w2_greedy": "407300f7fc939ed86671d30cfef61012013d63ff41013d58bb954cccfdadfe29",
+    "speculative_w2_nucleus": "f528cdeddafa4e1fcd9cd72f409d54c3d9e026d2c334c2041cce9fac9d2e8841",
+    "speculative_w2_temperature": "84520e7f120979d38ccb473f8828bb78802b538f6400870d35663c4e9450a565",
+    "speculative_w4_greedy": "d4e2ba1b798da911e747a8a7773bd1d017d41c4a57aa5afd2fddfa04364233b3",
+    "speculative_w4_nucleus": "2be4330ecc5c9fa93fe0cec4c9e8126fda2da483aa6c196a3658ce002bcf274f",
+    "speculative_w4_temperature": "f7d0830a2bbe9726a7159378ef022f4ee9b9fc9613f10fe49b7a597be3ade31c",
+    "vanilla_greedy": "830cf3b3b0a5ef1092f2004696b606d12db06cac50c35e6fd8335095a4539aab",
+    "vanilla_nucleus": "c4b26e13b82aa3698e8a57228f99bfdb8aa195da5cca4a41f340765bb94c8a8d",
+}
+
+
+def cost_digest(case: str) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        vocab, small, large = random_model_pair(seed)
+        rng = random.Random(seed)
+        policy = _policy(rng)
+        max_len = rng.randint(4, 24)
+        body = [rng.randrange(vocab.size - 1) for _ in range(rng.randint(1, 4))]
+        small_desc, large_desc = (PRESETS[name] for name in COST_DESCS[seed % 2])
+        for prompt in ([], body):
+            result = CASES[case](small, large, policy, prompt, seed, max_len)
+            for prompt_len in (len(prompt), len(prompt) + 17 * seed + 3):
+                for cut in (None, max_len, max_len // 2):
+                    for peaks in COST_PEAKS:
+                        report = tally_trace(
+                            result.trace,
+                            small_desc,
+                            large_desc,
+                            prompt_len=prompt_len,
+                            max_len=cut,
+                            peaks=peaks,
+                        )
+                        h.update(json.dumps(report.to_json_dict()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(COST_DIGESTS))
+def test_cost_reports_match_pinned_digest(case):
+    assert cost_digest(case) == COST_DIGESTS[case]
+
+
+CLI_COST_DIGESTS = {
+    (): "4fa5696a1396e2d4040e8a13e77a1fe72de97756331a7e3dea83bc561b9472d4",
+    ("--tokens", "20000"): "e848900b681e6ed2a0e6fbc8d412db7b2a95d86832e701c9c50b4f4bf3306fd4",
+    ("--tokens", "20000", "--prompt-len", "300", "--peak-flops", "1.2e14", "--peak-bandwidth", "9e11"): (
+        "56e918434338c92fb922c33a5544aa796c682bd836f76fcc1f584b24b7b7f895"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CLI_COST_DIGESTS), ids=" ".join)
+def test_cost_command_output_matches_pinned_digest(flags, capsys):
+    assert main(["cost", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_COST_DIGESTS[flags]
