@@ -14,6 +14,13 @@ mops/peak_bandwidth)``; with no peaks configured the proxy degrades to
 bytes moved, i.e. a fully bandwidth-bound device, and only ratios are
 meaningful. Encoder costs are omitted throughout: both systems encode the
 same input, so they cancel in every ratio.
+
+A tally is three exact integer counts per model: calls, scored tokens,
+and KV entries read plus written. They are converted to float FLOPs and
+bytes once, so every figure is exact while the totals stay below 2**53.
+The vanilla reference of ``n`` tokens after a ``P``-token prompt is ``n``
+one-token large calls, in closed form: ``n`` calls, ``n`` tokens and
+``n*P + n*(n-1)//2 + 2*n`` KV entries.
 """
 
 from __future__ import annotations
@@ -104,6 +111,21 @@ class WorkloadTally:
         }
 
 
+def _kv_units(context_len: int, new_tokens: int) -> int:
+    """KV entries one call moves: the j-th new token reads ``context_len + j``
+    cached entries and writes its own."""
+    return new_tokens * context_len + new_tokens * (new_tokens + 1) // 2 + new_tokens
+
+
+def _price(desc: ModelDescriptor, calls: int, tokens: int, kv_units: int) -> WorkloadTally:
+    """Cost of ``calls`` invocations scoring ``tokens`` positions in all and
+    moving ``kv_units`` KV entries, each count converted to float once."""
+    weight = float(desc.decoder_params * desc.bytes_per_param * calls)
+    kv = float(desc.kv_bytes_per_token * kv_units)
+    flops = 2.0 * desc.decoder_params * tokens
+    return WorkloadTally(flops=flops, mops=weight + kv, invocations=calls, weight_mops=weight, kv_mops=kv)
+
+
 def step_cost(desc: ModelDescriptor, context_len: int, new_tokens: int) -> WorkloadTally:
     """Cost of one call scoring ``new_tokens`` positions after ``context_len``.
 
@@ -115,13 +137,7 @@ def step_cost(desc: ModelDescriptor, context_len: int, new_tokens: int) -> Workl
         raise InvalidInputError("context_len and new_tokens must be non-negative")
     if new_tokens == 0:
         return WorkloadTally()
-    flops = 2.0 * desc.decoder_params * new_tokens
-    weight = float(desc.decoder_params * desc.bytes_per_param)
-    kv_reads = new_tokens * context_len + new_tokens * (new_tokens + 1) // 2
-    kv = float(desc.kv_bytes_per_token * (kv_reads + new_tokens))
-    return WorkloadTally(
-        flops=flops, mops=weight + kv, invocations=1, weight_mops=weight, kv_mops=kv
-    )
+    return _price(desc, 1, new_tokens, _kv_units(context_len, new_tokens))
 
 
 @dataclass(frozen=True)
@@ -176,25 +192,28 @@ def tally_trace(
     low-confidence scores that trigger handovers); ``large_desc`` prices
     each parallel verification, which scores the drafted positions plus
     one. The vanilla reference decodes the same final sequence length
-    autoregressively with the large model. Raises ``InvalidTraceError`` on
-    positionally inconsistent traces.
+    autoregressively with the large model, priced in closed form. Raises
+    ``InvalidTraceError`` on positionally inconsistent traces.
     """
+    small_calls = small_kv = large_calls = large_tokens = large_kv = 0
     seq_len = 0
-    tally = WorkloadTally()
     for event, seq_len in walk_trace(trace):
-        if isinstance(event, SmallStep):
-            tally = tally + step_cost(small_desc, prompt_len + event.position, 1)
-        elif isinstance(event, Fallback):
-            if event.reason == LOW_CONFIDENCE:
-                tally = tally + step_cost(small_desc, prompt_len + event.position, 1)
+        if isinstance(event, SmallStep) or (
+            isinstance(event, Fallback) and event.reason == LOW_CONFIDENCE
+        ):
+            small_calls += 1
+            small_kv += prompt_len + event.position + 2  # _kv_units(prompt_len + position, 1)
         elif isinstance(event, LargeVerify):
             k = len(event.positions)
-            tally = tally + step_cost(large_desc, prompt_len + seq_len - k, k + 1)
+            large_calls += 1
+            large_tokens += k + 1
+            large_kv += _kv_units(prompt_len + seq_len - k, k + 1)
+    small = _price(small_desc, small_calls, small_calls, small_kv)
+    tally = small + _price(large_desc, large_calls, large_tokens, large_kv)
 
-    final_len = seq_len if max_len is None else min(seq_len, max_len)
-    vanilla = WorkloadTally()
-    for i in range(final_len):
-        vanilla = vanilla + step_cost(large_desc, prompt_len + i, 1)
+    # n one-token large calls after contexts P, P+1, ..., P+n-1
+    n = seq_len if max_len is None else min(seq_len, max_len)
+    vanilla = _price(large_desc, n, n, n * prompt_len + n * (n - 1) // 2 + 2 * n)
 
     bild_proxy = latency_proxy(tally, peaks)
     vanilla_proxy = latency_proxy(vanilla, peaks)

@@ -46,12 +46,13 @@ class Vocabulary:
         if not 0 <= token < self.size:
             raise InvalidInputError(f"token id {token!r} out of range [0, {self.size})")
 
-    def validate_sequence(self, tokens: Iterable[int]) -> None:
+    def validate_sequence(self, tokens: Sequence[int]) -> None:
         """Check every id; a ``TokenSequence`` checked against no larger a size passes at once.
 
         A list or tuple of in-range ints passes in three C-speed passes;
-        anything else, a bad id included, is walked by ``validate_token``,
-        which names the first bad id.
+        any other ``Sequence``, a bad id included, is walked by
+        ``validate_token``, which names the first bad id. Any other
+        iterable, which a check would consume, is refused by type.
         """
         if isinstance(tokens, TokenSequence) and tokens.size <= self.size:
             return
@@ -62,6 +63,10 @@ class Vocabulary:
             and max(tokens) < self.size
         ):
             return
+        if not isinstance(tokens, Sequence):
+            raise InvalidInputError(
+                f"token sequence has type {type(tokens).__module__}.{type(tokens).__qualname__}, not a Sequence"
+            )
         for t in tokens:
             self.validate_token(t)
 

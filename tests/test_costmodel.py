@@ -1,6 +1,9 @@
+import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bild import (
     InvalidInputError,
@@ -10,8 +13,12 @@ from bild import (
     PolicyConfig,
     RooflinePeaks,
     Sampler,
+    SpecConfig,
+    TallyReport,
     WorkloadTally,
     bild_decode,
+    oracle_blend_decode,
+    speculative_decode,
     step_cost,
     synthesize_rate_trace,
     tally_trace,
@@ -19,7 +26,16 @@ from bild import (
 )
 from bild.costmodel import latency_proxy
 from bild.jsondoc import read_dataclass
-from bild.trace import Fallback, Rollback, SmallStep
+from bild.trace import (
+    FORCED,
+    LOW_CONFIDENCE,
+    WINDOW_CAP,
+    Fallback,
+    LargeVerify,
+    Rollback,
+    SmallStep,
+    walk_trace,
+)
 from conftest import random_model_pair
 
 MT5_LARGE = PRESETS["mt5-large"]
@@ -158,8 +174,6 @@ def test_bild_trace_tally_accumulates_small_and_large():
 
 
 def test_speculative_trace_tallies():
-    from bild import SpecConfig, speculative_decode
-
     vocab, small, large = random_model_pair(5)
     result = speculative_decode(small, large, SpecConfig(window=3, seed=1), [], 12)
     report = tally_trace(result.trace, T5_SMALL, T5_LARGE, max_len=12)
@@ -192,3 +206,161 @@ def test_synthesize_rate_trace_validation():
         synthesize_rate_trace(100, 0.0, 0.1)
     with pytest.raises(InvalidInputError):
         synthesize_rate_trace(100, 0.3, 1.0)
+
+
+# differential test against the per-event tally
+
+
+def _reference_step_cost(desc, context_len, new_tokens):
+    """The per-call cost, as ``step_cost`` computed it before ``_price``."""
+    if new_tokens == 0:
+        return WorkloadTally()
+    flops = 2.0 * desc.decoder_params * new_tokens
+    weight = float(desc.decoder_params * desc.bytes_per_param)
+    kv_reads = new_tokens * context_len + new_tokens * (new_tokens + 1) // 2
+    kv = float(desc.kv_bytes_per_token * (kv_reads + new_tokens))
+    return WorkloadTally(
+        flops=flops, mops=weight + kv, invocations=1, weight_mops=weight, kv_mops=kv
+    )
+
+
+def _reference_tally_trace(trace, small_desc, large_desc, *, prompt_len=0, max_len=None, peaks=None):
+    """The tally that sums one ``WorkloadTally`` per model call and per
+    reference token, kept as the oracle for the integer-count tally."""
+    seq_len = 0
+    tally = WorkloadTally()
+    for event, seq_len in walk_trace(trace):
+        if isinstance(event, SmallStep):
+            tally = tally + _reference_step_cost(small_desc, prompt_len + event.position, 1)
+        elif isinstance(event, Fallback):
+            if event.reason == LOW_CONFIDENCE:
+                tally = tally + _reference_step_cost(small_desc, prompt_len + event.position, 1)
+        elif isinstance(event, LargeVerify):
+            k = len(event.positions)
+            tally = tally + _reference_step_cost(large_desc, prompt_len + seq_len - k, k + 1)
+
+    final_len = seq_len if max_len is None else min(seq_len, max_len)
+    vanilla = WorkloadTally()
+    for i in range(final_len):
+        vanilla = vanilla + _reference_step_cost(large_desc, prompt_len + i, 1)
+
+    bild_proxy = latency_proxy(tally, peaks)
+    vanilla_proxy = latency_proxy(vanilla, peaks)
+    if bild_proxy == 0.0 and vanilla_proxy == 0.0:
+        speedup = 1.0
+    elif bild_proxy == 0.0:
+        speedup = float("inf")
+    else:
+        speedup = vanilla_proxy / bild_proxy
+    if tally.mops > 0 and vanilla.mops > 0 and vanilla.arithmetic_intensity > 0:
+        ai_ratio = tally.arithmetic_intensity / vanilla.arithmetic_intensity
+    else:
+        ai_ratio = 1.0
+    return TallyReport(
+        bild=tally,
+        vanilla_large_equivalent=vanilla,
+        speedup_estimate=speedup,
+        arithmetic_intensity_ratio=ai_ratio,
+    )
+
+
+def _outcome(tally, trace, *args, **kwargs):
+    try:
+        report = tally(trace, *args, **kwargs)
+    except InvalidTraceError as e:
+        return "InvalidTraceError", str(e)
+    for part in (report.bild, report.vanilla_large_equivalent):
+        assert max(part.flops, part.mops) < 2**53, "outside the exact domain"
+    return asdict(report), json.dumps(report.to_json_dict())
+
+
+# The domain keeps every count, and so every float partial sum of the
+# reference, an integer below 2**53: a trace of at most ~4,400 calls and
+# scored tokens and ~10**7 KV entries per model, priced at most 4 * 10**10
+# weight bytes per call and 2 * 64 * 8192 * 4 KV bytes per entry; `_outcome`
+# checks it. There both tallies are exact and must agree bit for bit; beyond
+# it the reference rounds once per call.
+descriptors = st.one_of(
+    st.sampled_from(sorted(PRESETS.values(), key=lambda d: d.decoder_params)),
+    st.builds(
+        ModelDescriptor,
+        layers=st.integers(1, 64),
+        hidden_dim=st.integers(1, 8192),
+        ffn_dim=st.integers(1, 8192),
+        decoder_params=st.integers(1, 10**10),
+        bytes_per_param=st.integers(1, 4),
+    ),
+)
+peak_settings = st.one_of(
+    st.none(),
+    st.builds(
+        RooflinePeaks,
+        peak_flops=st.floats(1e6, 1e18),
+        peak_bandwidth=st.floats(1e6, 1e15),
+    ),
+)
+cuts = st.one_of(st.none(), st.integers(0, 500))
+DIFFERENTIAL = settings(max_examples=150, deadline=None)
+
+
+@DIFFERENTIAL
+@given(
+    num_tokens=st.integers(1, 400),
+    fallback_rate=st.floats(0.01, 0.99),
+    rollback_rate=st.floats(0.0, 0.9),
+    reasons=st.lists(st.sampled_from([LOW_CONFIDENCE, WINDOW_CAP, FORCED]), min_size=1, max_size=8),
+    drop=st.one_of(st.none(), st.integers(0, 10**6)),
+    small_desc=descriptors,
+    large_desc=descriptors,
+    prompt_len=st.integers(0, 500),
+    max_len=cuts,
+    peaks=peak_settings,
+)
+def test_tally_matches_the_per_event_reference_on_synthesized_traces(
+    num_tokens, fallback_rate, rollback_rate, reasons, drop, small_desc, large_desc, prompt_len, max_len, peaks
+):
+    trace = synthesize_rate_trace(num_tokens, fallback_rate, rollback_rate)
+    fallbacks = [i for i, e in enumerate(trace) if isinstance(e, Fallback)]
+    for n, i in enumerate(fallbacks):
+        trace[i] = Fallback(trace[i].position, reasons[n % len(reasons)])
+    if drop is not None:  # a dropped event usually breaks the trace; both must reject it alike
+        del trace[drop % len(trace)]
+    args = (trace, small_desc, large_desc)
+    kwargs = dict(prompt_len=prompt_len, max_len=max_len, peaks=peaks)
+    assert _outcome(tally_trace, *args, **kwargs) == _outcome(_reference_tally_trace, *args, **kwargs)
+
+
+def _engine_trace(strategy, small, large, prompt, seed, max_len):
+    sampler = Sampler.nucleus(0.9, seed=seed)
+    if strategy == "bild":
+        config = PolicyConfig(alpha_fb=0.5, alpha_rb=1.0, window_cap=1 + seed % 5)
+        return bild_decode(small, large, config, sampler, prompt, max_len).trace
+    if strategy == "speculative":
+        config = SpecConfig(window=1 + seed % 4, seed=seed)
+        return speculative_decode(small, large, config, prompt, max_len, draft_sampler=sampler).trace
+    if strategy == "vanilla":
+        return vanilla_decode(small, prompt, sampler, max_len).trace
+    return oracle_blend_decode(small, large, 0.5, sampler, prompt, max_len).trace
+
+
+@DIFFERENTIAL
+@given(
+    strategy=st.sampled_from(["bild", "speculative", "vanilla", "oracle_blend"]),
+    seed=st.integers(0, 40),
+    prompt_body=st.integers(0, 4),
+    decode_len=st.integers(1, 24),
+    small_desc=descriptors,
+    large_desc=descriptors,
+    prompt_len=st.integers(0, 500),
+    max_len=cuts,
+    peaks=peak_settings,
+)
+def test_tally_matches_the_per_event_reference_on_engine_traces(
+    strategy, seed, prompt_body, decode_len, small_desc, large_desc, prompt_len, max_len, peaks
+):
+    vocab, small, large = random_model_pair(seed)
+    prompt = [t % (vocab.size - 1) for t in range(seed, seed + prompt_body)]
+    trace = _engine_trace(strategy, small, large, prompt, seed, decode_len)
+    args = (trace, small_desc, large_desc)
+    kwargs = dict(prompt_len=prompt_len, max_len=max_len, peaks=peaks)
+    assert _outcome(tally_trace, *args, **kwargs) == _outcome(_reference_tally_trace, *args, **kwargs)

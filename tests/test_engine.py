@@ -186,6 +186,25 @@ def test_degenerate_equivalence_random_pairs():
         assert pure_large.counters.small_tokens == 0
 
 
+def test_rollback_at_zero_distance_is_vanilla_large_under_greedy():
+    # With alpha_rb = 0, every draft that is not the large model's certain
+    # choice is rolled back and replaced by the large model's argmax, and
+    # verify_eos puts an eos draft under the same test. The output is then
+    # greedy large decoding, whatever the fallback threshold and window.
+    rollbacks = 0
+    for seed in range(100):
+        vocab, small, large = random_model_pair(seed)
+        prompt = [t % (vocab.size - 1) for t in range(seed, seed + seed % 4)]
+        reference = vanilla_decode(large, prompt, Sampler.greedy(), 20).sequence
+        for alpha_fb in (0.0, 0.3, 0.6, 1.01):
+            for window_cap in (1, 3, 10):
+                config = PolicyConfig(alpha_fb=alpha_fb, alpha_rb=0.0, window_cap=window_cap, verify_eos=True)
+                result = bild_decode(small, large, config, Sampler.greedy(), prompt, 20)
+                assert result.sequence == reference, (seed, alpha_fb, window_cap)
+                rollbacks += result.counters.rollback_count
+    assert rollbacks > 1000  # the identity is exercised, not met by drafts the large model agrees with
+
+
 # structural invariants over random runs
 
 

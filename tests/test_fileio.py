@@ -85,6 +85,21 @@ def test_saving_a_bad_id_names_it_and_writes_nothing(tmp_path, bad, message):
     assert not out.exists()
 
 
+def test_an_iterator_of_ids_is_refused_by_type(tmp_path):
+    # a check would consume a one-shot iterator and leave nothing to format
+    vocab = Vocabulary(size=3, eos=2, tokens=("a", "b", "<eos>"))
+    message = "token sequence has type builtins.list_iterator, not a Sequence"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        format_sequence(iter([0, 1]), vocab)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        vocab.symbols(iter([0, 1]))
+    out = tmp_path / "out.txt"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        save_corpus([[0, 1], iter([1, 0])], vocab, out)
+    assert not out.exists()
+    assert format_sequence(range(2), vocab) == "a b"
+
+
 def test_symbols_without_a_symbol_list_are_ids(tmp_path):
     vocab = Vocabulary(size=3, eos=1)
     assert format_sequence([2, 1, 0], vocab) == "2 <eos> 0"

@@ -1,4 +1,5 @@
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -216,7 +217,11 @@ def test_token_sequence_rejects_bad_ids(vocab5, bad):
 
 
 def _walk(vocabulary: Vocabulary, tokens) -> None:
-    """``validate_sequence``'s reference: check each id in turn."""
+    """``validate_sequence``'s reference: refuse a non-sequence, then check each id in turn."""
+    if not isinstance(tokens, Sequence):
+        raise InvalidInputError(
+            f"token sequence has type {type(tokens).__module__}.{type(tokens).__qualname__}, not a Sequence"
+        )
     for t in tokens:
         if type(t) is not int:
             raise InvalidInputError(
@@ -253,10 +258,12 @@ def _id_sequences(draw):
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
     elif draw(st.booleans()):
         tokens = draw(st.lists(valid | odd, max_size=6))
-    return Vocabulary(size=size, eos=size - 1), draw(st.sampled_from([list, tuple]))(tokens)
+    return Vocabulary(size=size, eos=size - 1), draw(st.sampled_from([list, tuple, iter])), tokens
 
 
 @given(case=_id_sequences())
 def test_validate_sequence_agrees_with_the_walk(case):
-    vocabulary, tokens = case
-    assert _outcome(vocabulary.validate_sequence, tokens) == _outcome(_walk, vocabulary, tokens)
+    vocabulary, container, tokens = case
+    # each side gets its own container, so neither consumes the other's iterator
+    fast = _outcome(vocabulary.validate_sequence, container(tokens))
+    assert fast == _outcome(_walk, vocabulary, container(tokens))

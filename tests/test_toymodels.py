@@ -74,6 +74,13 @@ def test_fit_rejects_a_bool_token(vocab3):
         fit_ngram([[True, 0, 1]], 2, 1.0, vocab3)
 
 
+def test_fit_refuses_an_iterator_sequence(vocab3):
+    # counting a consumed iterator would fit a model with no counts
+    message = "token sequence has type builtins.list_iterator, not a Sequence"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        fit_ngram([iter([0, 1])], 2, 1.0, vocab3)
+
+
 def test_conditionals_sum_to_one(vocab3):
     rng = random.Random(0)
     for order in (1, 2, 3):
