@@ -7,6 +7,11 @@ token id. The stochastic strategies consume exactly one uniform draw from
 the supplied generator per call and select by inverse CDF with candidate
 tokens ordered by ascending token id. A decode run owns a single
 ``random.Random`` seeded from ``Sampler.seed``, so traces replay exactly.
+
+The nucleus is drawn over its support alone, in id order. This is exactly
+the draw over a full-length vector that is zero off the support: a zero
+weight adds nothing to a partial sum, so the CDF at each support id is the
+same, and the CDF is flat between them.
 """
 
 from __future__ import annotations
@@ -63,6 +68,26 @@ class Sampler:
         return self.kind != GREEDY
 
 
+# Most nuclei are short: the mass is first summed over this many top tokens.
+_HEAD = 32
+
+
+def _nucleus(probs: np.ndarray, p: float) -> np.ndarray:
+    """The nucleus of ``probs`` at mass ``p``, as token ids in rank order.
+
+    cumsum adds left to right, the same sums a running Python total makes,
+    so the cumsum of the head is the head of the full cumsum; the full one
+    is taken only when the head's mass falls short of the target.
+    """
+    order = np.argsort(-probs, kind="stable")
+    target = p - 1e-12
+    mass = np.cumsum(probs[order[:_HEAD]])
+    if mass[-1] < target:
+        mass = np.cumsum(probs[order])
+    size = int(np.searchsorted(mass, target, side="left")) + 1
+    return order[:size]
+
+
 def nucleus_support(probs: np.ndarray, p: float) -> list[int]:
     """Token ids of the smallest descending-probability prefix with mass >= p.
 
@@ -70,19 +95,11 @@ def nucleus_support(probs: np.ndarray, p: float) -> list[int]:
     lowest id; tokens join the support until the cumulative mass reaches
     ``p`` (within a 1e-12 slack for float accumulation).
     """
-    order = np.argsort(-probs, kind="stable")
-    # cumsum adds left to right, the same sums a running Python total makes
-    mass = np.cumsum(probs[order])
-    size = int(np.searchsorted(mass, p - 1e-12, side="left")) + 1
-    return order[:size].tolist()
+    return _nucleus(probs, p).tolist()
 
 
 def _inverse_cdf(weights: np.ndarray, u: float) -> int:
-    """Pick the first token id whose normalized CDF over ``weights`` exceeds ``u``.
-
-    A zero weight adds nothing to a partial sum, so zeroing the tokens
-    outside a support draws exactly as summing over the support alone.
-    """
+    """The first index whose normalized CDF over ``weights`` exceeds ``u``."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
@@ -98,10 +115,9 @@ def sample(dist: ProbDist, sampler: Sampler, rng: random.Random) -> int:
         return dist.argmax()
 
     if sampler.kind == NUCLEUS:
-        support = nucleus_support(dist.probs, sampler.p)
-        weights = np.zeros_like(dist.probs)
-        weights[support] = dist.probs[support]
-        return _inverse_cdf(weights, rng.random())
+        # the support in id order; see the module docstring for why this is exact
+        support = np.sort(_nucleus(dist.probs, sampler.p))
+        return int(support[_inverse_cdf(dist.probs[support], rng.random())])
 
     # temperature: reweight as probs**(1/t), computed in log space and
     # rescaled so the largest weight is 1 (a direct power underflows to an

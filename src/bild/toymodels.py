@@ -10,6 +10,7 @@ model is fine-tuned on the verifying model's outputs.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import Counter
@@ -235,11 +236,25 @@ class NgramLM(LanguageModel):
 
     @classmethod
     def load(cls, path: str | Path, vocabulary: Vocabulary | None = None) -> "NgramLM":
-        data = load_json(path)
+        """The n-gram model saved at ``path``; errors name the file.
+
+        Cyclic GC is paused across the parse and the build, and the caller's
+        state is restored on every way out. Parsing makes two lists per count
+        entry, which would otherwise set off collections over the whole live
+        heap. GC state is process-wide: another thread's collections wait
+        until the load ends.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            return cls.from_json_dict(data, vocabulary)
-        except InvalidInputError as e:
-            raise InvalidInputError(f"{path}: {e}") from None
+            data = load_json(path)  # its errors already name the file
+            try:
+                return cls.from_json_dict(data, vocabulary)
+            except InvalidInputError as e:
+                raise InvalidInputError(f"{path}: {e}") from None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def fit_ngram(

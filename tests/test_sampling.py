@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bild import InvalidInputError, ProbDist, Sampler, sample
@@ -142,13 +142,41 @@ def _reference_sample(probs, sampler, u):
     return _reference_inverse_cdf(range(len(probs)), weights, u)
 
 
+@st.composite
+def ngram_rows(draw):
+    """Rows shaped like ``NgramLM._row``: one background value over V ids,
+    plus 1-20 observed values, a zero count equal to the background."""
+    size = draw(st.integers(2, 1024))
+    s = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    ids = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(20, size), unique=True))
+    counts = draw(st.lists(st.integers(0, 50), min_size=len(ids), max_size=len(ids)))
+    denom = sum(counts) + s * size
+    row = np.full(size, s / denom)
+    row[ids] = [(c + s) / denom for c in counts]
+    return row
+
+
+def _dense_nucleus_draw(probs, p, u):
+    """The nucleus draw over a zeroed full-length vector, as the support-only draw replaced."""
+    order = np.argsort(-probs, kind="stable")
+    mass = np.cumsum(probs[order])
+    support = order[: int(np.searchsorted(mass, p - 1e-12, side="left")) + 1].tolist()
+    weights = np.zeros_like(probs)
+    weights[support] = probs[support]
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    probs=tied_rows(),
+    probs=st.one_of(tied_rows(), ngram_rows()),
     sampler=st.sampled_from(
         [
             Sampler.nucleus(1e-3),
             Sampler.nucleus(0.5),
             Sampler.nucleus(0.9),
+            Sampler.nucleus(0.999),  # on n-gram rows, often more than 32 tokens
             Sampler.nucleus(1.0),
             Sampler.temperature(0.3),
             Sampler.temperature(1.0),
@@ -167,6 +195,8 @@ def test_draws_match_sorted_support_reference(probs, sampler, u):
     got = multinomial(d, rng) if sampler is None else sample(d, sampler, rng)
     assert rng.calls == 1
     assert got == _reference_sample(d.probs, sampler, u)
+    if sampler is not None and sampler.kind == "nucleus":
+        assert got == _dense_nucleus_draw(d.probs, sampler.p, u)
 
 
 def test_temperature_one_matches_distribution_within_tvd():

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -142,6 +143,39 @@ def test_ngram_load_names_file_and_repeated_entry(tmp_path):
     path.write_text(json.dumps({"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts}))
     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: counts: entry"):
         NgramLM.load(path)
+
+
+def _ngram_doc(counts):
+    return json.dumps({"order": 2, "smoothing": 0.5, "vocab_size": 3, "eos": EOS, "counts": counts})
+
+
+@pytest.mark.parametrize(
+    "text, vocab_size, error",
+    [
+        (_ngram_doc([[[A], B, 5]]), None, None),
+        ('{"order": 2,', None, "not valid JSON"),
+        (_ngram_doc([[[A], B, 5], [[A], B, 5]]), None, "repeats"),
+        (_ngram_doc([[[A], B, -1]]), None, "count -1"),
+        (_ngram_doc([[[A], B, 5]]), 4, "vocabulary size does not match"),
+    ],
+    ids=["good", "not_json", "repeated_entry", "bad_count", "vocab_size_mismatch"],
+)
+@pytest.mark.parametrize("gc_on", [True, False], ids=["gc_on", "gc_off"])
+def test_ngram_load_restores_the_callers_gc_state(tmp_path, text, vocab_size, error, gc_on):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    vocabulary = None if vocab_size is None else Vocabulary(size=vocab_size, eos=EOS)
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        if error is None:
+            NgramLM.load(path, vocabulary)
+        else:
+            with pytest.raises(InvalidInputError, match=error):
+                NgramLM.load(path, vocabulary)
+        assert gc.isenabled() == gc_on
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0, -1.0])
