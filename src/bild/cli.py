@@ -71,7 +71,7 @@ _RUNNERS = {
         SpecConfig(window=exp.speculative_window, seed=sampler.seed),
         prompt,
         exp.max_len,
-        draft_sampler=sampler if sampler.is_stochastic else Sampler.greedy(),
+        draft_sampler=sampler,
     ),
     "oracle_blend": lambda exp, prompt, sampler, policy: oracle_blend_decode(
         exp.small, exp.large, exp.blend_threshold, sampler, prompt, exp.max_len

@@ -40,8 +40,9 @@ class ProbDist:
         # One reduction each in the common case: a NaN, negative or infinite
         # entry leaves ``total`` non-finite. Only then does the entry-wise
         # scan run, to choose the message; a finite vector whose sum
-        # overflows passes it and fails the sum check.
-        total = float(arr.sum()) if arr.min() >= 0.0 else math.nan
+        # overflows passes it and fails the sum check, without a warning.
+        with np.errstate(over="ignore"):
+            total = float(arr.sum()) if arr.min() >= 0.0 else math.nan
         if not math.isfinite(total):
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise InvalidInputError("probabilities must be finite and non-negative")

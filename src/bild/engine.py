@@ -11,8 +11,8 @@ otherwise a bonus token. ``bild_decode`` passes the confidence fallback and
 the rollback rule; ``speculative.speculative_decode`` passes a fixed window
 and the rejection test.
 
-Randomness: each decode run owns one ``random.Random``, seeded from the
-sampler here. Draws are consumed in generation order: one per stochastic
+Randomness: each decode run owns one ``random.Random``, seeded from its
+sampler's ``seed``. Draws are consumed in generation order: one per stochastic
 draft, one per rollback replacement, one per large append. Greedy runs
 consume no randomness.
 
@@ -155,10 +155,9 @@ def _collaborate(
     prompt: Sequence[int],
     max_len: int,
     sampler: Sampler,
-    seed: int,
     *,
     draft_cap: int,
-    fallback: Callable[[ProbDist], bool] | None,
+    fallback: Callable[[float], bool] | None,
     eos_reason: str | None,
     accept: Callable[..., int],
     draw: Callable[..., int],
@@ -168,16 +167,17 @@ def _collaborate(
     """Draft with ``sampler``, verify with one ``large.score_range`` call, resolve.
 
     A handover happens with reason ``WINDOW_CAP`` once ``draft_cap`` drafts
-    are pending, ``LOW_CONFIDENCE`` when ``fallback(small_dist)`` holds, and
-    ``eos_reason`` right after a drafted end-of-sequence (``None`` commits
-    the drafts unverified). Given the k drafts ``pending`` as (token, dist)
-    pairs and the k+1 large ``dists``, ``accept(pending, dists, rng)`` is the
+    are pending, ``LOW_CONFIDENCE`` when ``fallback(max_prob)`` holds for the
+    small model's max probability, and ``eos_reason`` right after a drafted
+    end-of-sequence (``None`` commits the drafts unverified). Given the k
+    drafts ``pending`` as (token, dist) pairs, the k+1 large ``dists`` and the
+    drafts' k ``distances``, ``accept(pending, dists, distances, rng)`` is the
     number m of drafts kept and ``draw(pending, dists, m, rng)`` the large
     token at position m: a replacement (an ``undo`` event) when m < k, the
     bonus token when m == k.
     """
     _require_shared_vocabulary(small, large)
-    run = _Run(small, prompt, max_len, seed)
+    run = _Run(small, prompt, max_len, sampler.seed)
     working, provenance = run.working, run.provenance
     # the drafts after the committed tokens, each with the distribution it was sampled from
     pending: list[tuple[int, ProbDist]] = []
@@ -191,13 +191,9 @@ def _collaborate(
         # k+1 distributions: one per pending position plus the next position,
         # all from a single parallel scoring pass over the working sequence.
         dists = large.score_range(working, run.base + first)
-        run.trace.append(
-            LargeVerify(
-                positions=tuple(range(first, first + k)),
-                distances=tuple(distance(t, d) for (t, _), d in zip(pending, dists)),
-            )
-        )
-        m = accept(pending, dists, run.rng)
+        distances = tuple(distance(t, d) for (t, _), d in zip(pending, dists))
+        run.trace.append(LargeVerify(positions=tuple(range(first, first + k)), distances=distances))
+        m = accept(pending, dists, distances, run.rng)
         provenance.extend([SMALL] * m)
         if m < k:
             replacement = draw(pending, dists, m, run.rng)
@@ -218,11 +214,12 @@ def _collaborate(
             continue
         small_dist = small.score_next(working)
         run.small_calls += 1
-        if fallback is not None and fallback(small_dist):
+        max_prob = small_dist.max_prob()
+        if fallback is not None and fallback(max_prob):
             handover(LOW_CONFIDENCE)
             continue
         token = sample(small_dist, sampler, run.rng)
-        run.trace.append(SmallStep(len(working) - run.base, token, small_dist.max_prob()))
+        run.trace.append(SmallStep(len(working) - run.base, token, max_prob))
         pending.append((token, small_dist))
         working.append(token)
         if token == run.eos:
@@ -256,14 +253,14 @@ def bild_decode(
     # The rules look ``should_fallback``, ``find_rollback_position`` and
     # ``sample`` up in this module at call time, so instrumentation that
     # rebinds those names sees every call.
-    def keep(pending, dists, rng) -> int:
-        m = find_rollback_position([t for t, _ in pending], dists[:-1], config)
+    def keep(pending, dists, distances, rng) -> int:
+        m = find_rollback_position(distances, config)
         return len(pending) if m is None else m
 
     return _collaborate(
-        small, large, prompt, max_len, sampler, sampler.seed,
+        small, large, prompt, max_len, sampler,
         draft_cap=config.window_cap,
-        fallback=lambda dist: should_fallback(dist, config),
+        fallback=lambda max_prob: should_fallback(max_prob, config),
         eos_reason=FORCED if config.verify_eos else None,
         accept=keep,
         draw=lambda pending, dists, m, rng: sample(dists[m], sampler, rng),

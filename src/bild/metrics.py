@@ -18,7 +18,7 @@ from .costmodel import TallyReport
 from .dist import floored_log
 from .errors import InvalidInputError
 from .models import LanguageModel
-from .trace import DecodeResult, Fallback, SmallStep
+from .trace import DecodeResult, SmallStep
 
 CSV_COLUMNS = [
     "run_id",
@@ -104,8 +104,7 @@ def summarize(
     drafted tokens report a rollback percentage of 0 by convention.
     """
     drafted = sum(1 for e in result.trace if isinstance(e, SmallStep))
-    handovers = sum(1 for e in result.trace if isinstance(e, Fallback))
-    iterations = drafted + handovers
+    iterations = drafted + result.counters.fallback_count
     fallback_pct = result.counters.fallback_count / iterations if iterations else 0.0
     rollback_pct = result.counters.tokens_discarded / drafted if drafted else 0.0
     return RunSummary(

@@ -2,9 +2,10 @@
 
 The fallback rule hands control to the large model when the small model's
 maximum next-token probability falls strictly below ``alpha_fb``. The
-rollback rule reviews drafted tokens with the large model's distributions
-and discards everything from the first position whose hard-label
-cross-entropy distance strictly exceeds ``alpha_rb``.
+rollback rule discards the drafts from the first whose hard-label
+cross-entropy distance under the large model strictly exceeds ``alpha_rb``.
+Both rules read the scalars a trace records for them (``SmallStep.max_prob``,
+``LargeVerify.distances``).
 
 Both comparisons are strict, so boundary cases keep the small model's
 output. The distance is a negative natural log, floored at ``PROB_FLOOR``
@@ -69,9 +70,9 @@ class PolicyConfig:
         return replace(self, alpha_fb=0.0, window_cap=k)
 
 
-def should_fallback(small_dist: ProbDist, config: PolicyConfig) -> bool:
+def should_fallback(max_prob: float, config: PolicyConfig) -> bool:
     """True iff the small model's max probability is strictly below alpha_fb."""
-    return small_dist.max_prob() < config.alpha_fb
+    return max_prob < config.alpha_fb
 
 
 def distance(chosen: int, large_dist: ProbDist) -> float:
@@ -88,21 +89,14 @@ def distance(chosen: int, large_dist: ProbDist) -> float:
     return -math.log(max(p, PROB_FLOOR))
 
 
-def find_rollback_position(
-    pending_tokens: Sequence[int],
-    large_dists: Sequence[ProbDist],
-    config: PolicyConfig,
-) -> int | None:
-    """Index of the first drafted token whose distance strictly exceeds alpha_rb.
+def find_rollback_position(distances: Sequence[float], config: PolicyConfig) -> int | None:
+    """Index of the first draft whose distance strictly exceeds alpha_rb.
 
-    ``large_dists[i]`` must be the large model's distribution for the
-    position at which ``pending_tokens[i]`` was emitted (conditioned on
-    everything strictly before it). Returns ``None`` when no position
+    ``distances[i]`` is the distance of the i-th draft under the large
+    model's distribution at its position. Returns ``None`` when no draft
     violates the threshold; with ``alpha_rb = MAX_DISTANCE`` none does.
     """
-    if len(pending_tokens) != len(large_dists):
-        raise InvalidInputError("pending tokens and distributions must align")
-    for i, (token, dist) in enumerate(zip(pending_tokens, large_dists)):
-        if distance(token, dist) > config.alpha_rb:
+    for i, d in enumerate(distances):
+        if d > config.alpha_rb:
             return i
     return None

@@ -25,7 +25,7 @@ bonus draw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,12 +82,11 @@ def speculative_decode(
     ``draft_sampler`` defaults to plain sampling from the small model's
     distribution (temperature 1), the mode for which the emitted tokens are
     an unbiased sample of the large model. The run's generator is seeded
-    from ``config.seed``.
+    from ``config.seed``, whatever ``draft_sampler.seed`` says.
     """
-    if draft_sampler is None:
-        draft_sampler = Sampler.temperature(1.0, seed=config.seed)
+    draft_sampler = replace(draft_sampler or Sampler.temperature(1.0), seed=config.seed)
     return _collaborate(
-        small, large, prompt, max_len, draft_sampler, config.seed,
+        small, large, prompt, max_len, draft_sampler,
         draft_cap=config.window,
         fallback=None,
         eos_reason=WINDOW_CAP,
@@ -99,9 +98,12 @@ def speculative_decode(
 
 
 def _accepted_prefix(
-    drafted: list[tuple[int, ProbDist]], large_dists: list[ProbDist], rng: random.Random
+    drafted: list[tuple[int, ProbDist]],
+    large_dists: list[ProbDist],
+    distances: tuple[float, ...],
+    rng: random.Random,
 ) -> int:
-    """Drafts kept: test each with probability ``min(1, p_L(t) / p_S(t))``."""
+    """Drafts kept: test each with probability ``min(1, p_L(t) / p_S(t))``; ``distances`` is unused."""
     for i, (token, small_dist) in enumerate(drafted):
         ratio = min(1.0, large_dists[i][token] / max(small_dist[token], PROB_FLOOR))
         if not rng.random() < ratio:

@@ -108,7 +108,7 @@ def probability_inputs(draw):
 @example(np.array([]))
 @example(np.array([[0.5, 0.5]]))
 def test_one_pass_checks_match_entrywise_reference(probs):
-    with warnings.catch_warnings(record=True) as seen_reference:
+    with warnings.catch_warnings(record=True):  # the reference warns on a sum that overflows
         warnings.simplefilter("always")
         expected = _reference_check(probs)
     with warnings.catch_warnings(record=True) as seen:
@@ -121,8 +121,14 @@ def test_one_pass_checks_match_entrywise_reference(probs):
             got = None
             assert np.array_equal(dist.probs, probs)
     assert got == expected
-    # the one-pass check warns where the old one did (a sum that overflows), never elsewhere
-    assert [str(w.message) for w in seen] == [str(w.message) for w in seen_reference]
+    assert [str(w.message) for w in seen] == []  # not even where the reference warned
+
+
+def test_overflowing_sum_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"^probabilities must sum to 1, got inf$"):
+            ProbDist(np.array([1e308, 1e308]))
 
 
 def test_dist_owns_a_copy_of_the_callers_array():

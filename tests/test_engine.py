@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bild.engine
+import bild.policies
 from bild import (
     MAX_DISTANCE,
     InvalidInputError,
     PolicyConfig,
+    ProbDist,
     Sampler,
     SpecConfig,
     VocabularyMismatchError,
@@ -208,7 +211,8 @@ def test_rollback_at_zero_distance_is_vanilla_large_under_greedy():
 # structural invariants over random runs
 
 
-def run_random(seed: int):
+def random_bild_args(seed: int):
+    """Arguments of a random ``bild_decode``: greedy, or nucleus for about half the seeds."""
     rng = random.Random(seed)
     vocab, small, large = random_model_pair(seed)
     config = PolicyConfig(
@@ -220,8 +224,14 @@ def run_random(seed: int):
         config = config.without_rollback()
     prompt = [rng.randrange(vocab.size) for _ in range(rng.randint(0, 3))]
     max_len = rng.randint(1, 15)
-    result = bild_decode(small, large, config, Sampler.greedy(), prompt, max_len)
-    return config, max_len, result
+    sampler = Sampler.nucleus(0.9, seed=seed) if rng.random() < 0.5 else Sampler.greedy()
+    return small, large, config, sampler, prompt, max_len
+
+
+def run_random(seed: int):
+    args = random_bild_args(seed)
+    config, max_len = args[2], args[-1]
+    return config, max_len, bild_decode(*args)
 
 
 def test_window_cap_invariant():
@@ -248,6 +258,47 @@ def test_rollback_minimality_invariant():
                 for d in verify.distances[:idx]:
                     assert d <= config.alpha_rb
                 assert verify.distances[idx] > config.alpha_rb
+
+
+def test_each_decision_agrees_with_its_recorded_scalar():
+    # a draft was made only at a max probability the fallback rule let
+    # through, and a verify that no rollback follows kept every distance
+    samplers = set()
+    for seed in range(150):
+        args = random_bild_args(seed)
+        config, sampler = args[2], args[3]
+        events = bild_decode(*args).trace
+        for event, following in zip(events, events[1:] + [None]):
+            if isinstance(event, SmallStep):
+                assert event.max_prob >= config.alpha_fb
+            elif isinstance(event, LargeVerify) and not isinstance(following, Rollback):
+                assert all(d <= config.alpha_rb for d in event.distances)
+        samplers.add(sampler.kind)
+    assert samplers == {"greedy", "nucleus"}
+
+
+def test_each_rule_scalar_is_computed_once(monkeypatch):
+    counts = {"max_prob": 0, "distance": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ProbDist, "max_prob", counted("max_prob", ProbDist.max_prob))
+    monkeypatch.setattr(bild.policies, "distance", counted("distance", bild.policies.distance))
+    monkeypatch.setattr(bild.engine, "distance", counted("distance", bild.engine.distance))
+    verified = 0
+    for seed in range(150):
+        args = random_bild_args(seed)  # building the models calls max_prob too
+        counts.update(max_prob=0, distance=0)
+        result = bild_decode(*args)
+        drafts = sum(len(e.positions) for e in result.trace if isinstance(e, LargeVerify))
+        assert counts == {"max_prob": result.counters.small_calls, "distance": drafts}, seed
+        verified += drafts
+    assert verified > 50
 
 
 def test_trace_replay_invariant():

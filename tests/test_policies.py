@@ -32,20 +32,20 @@ def cfg(alpha_fb=0.5, alpha_rb=2.0, **kw):
 
 
 def test_confident_distribution_does_not_fall_back():
-    assert should_fallback(dist(0.95, 0.04, 0.01), cfg(alpha_fb=0.9)) is False
+    assert should_fallback(dist(0.95, 0.04, 0.01).max_prob(), cfg(alpha_fb=0.9)) is False
 
 
 def test_boundary_is_strict():
-    assert should_fallback(dist(0.5, 0.3, 0.2), cfg(alpha_fb=0.5)) is False
+    assert should_fallback(dist(0.5, 0.3, 0.2).max_prob(), cfg(alpha_fb=0.5)) is False
 
 
 def test_unconfident_distribution_falls_back():
-    assert should_fallback(dist(0.3, 0.4, 0.3), cfg(alpha_fb=0.5)) is True
+    assert should_fallback(dist(0.3, 0.4, 0.3).max_prob(), cfg(alpha_fb=0.5)) is True
 
 
 @given(st.floats(min_value=0.0, max_value=1.01))
 def test_fallback_monotone_in_threshold(alpha):
-    d = dist(0.3, 0.4, 0.3)
+    d = dist(0.3, 0.4, 0.3).max_prob()
     lower = should_fallback(d, cfg(alpha_fb=alpha))
     higher = should_fallback(d, cfg(alpha_fb=min(alpha + 0.1, 1.01)))
     assert higher or not lower  # once true, stays true as alpha grows
@@ -87,48 +87,35 @@ def test_distance_bounds(weights):
 # rollback search
 
 
-def big_dists(values):
-    """Distributions engineered so token 0's distance equals the given value."""
-    out = []
-    for v in values:
-        p = math.exp(-v)
-        out.append(dist(p, 1.0 - p))
-    return out
+def big_distances(values):
+    """Token 0's distances under distributions engineered so each equals the given value."""
+    return [distance(0, dist(math.exp(-v), 1.0 - math.exp(-v))) for v in values]
 
 
 def test_no_exceedance_returns_none():
-    dists = big_dists([0.1, 0.2])
-    assert find_rollback_position([0, 0], dists, cfg(alpha_rb=1.0)) is None
+    assert find_rollback_position(big_distances([0.1, 0.2]), cfg(alpha_rb=1.0)) is None
 
 
 def test_first_strict_exceedance_wins():
-    dists = big_dists([0.5, 3.2, 0.1])
-    assert find_rollback_position([0, 0, 0], dists, cfg(alpha_rb=3.0)) == 1
+    assert find_rollback_position(big_distances([0.5, 3.2, 0.1]), cfg(alpha_rb=3.0)) == 1
 
 
 def test_minimal_index_returned():
-    dists = big_dists([5.0, 6.0])
-    assert find_rollback_position([0, 0], dists, cfg(alpha_rb=4.0)) == 0
+    assert find_rollback_position(big_distances([5.0, 6.0]), cfg(alpha_rb=4.0)) == 0
 
 
 def test_rollback_disabled_returns_none():
-    dists = big_dists([5.0, 6.0])
     config = cfg(alpha_rb=4.0).without_rollback()
-    assert find_rollback_position([0, 0], dists, config) is None
+    assert find_rollback_position(big_distances([5.0, 6.0]), config) is None
 
 
 def test_empty_pending_returns_none():
-    assert find_rollback_position([], [], cfg()) is None
-
-
-def test_mismatched_lengths_rejected():
-    with pytest.raises(InvalidInputError):
-        find_rollback_position([0], [], cfg())
+    assert find_rollback_position([], cfg()) is None
 
 
 def test_max_threshold_never_rolls_back():
-    dists = [dist(0.0, 1.0), dist(1e-12, 1.0 - 1e-12)]
-    assert find_rollback_position([0, 0], dists, cfg(alpha_rb=MAX_DISTANCE)) is None
+    distances = [distance(0, dist(0.0, 1.0)), distance(0, dist(1e-12, 1.0 - 1e-12))]
+    assert find_rollback_position(distances, cfg(alpha_rb=MAX_DISTANCE)) is None
 
 
 @given(
@@ -137,12 +124,60 @@ def test_max_threshold_never_rolls_back():
     bump=st.floats(min_value=0.0, max_value=5.0),
 )
 def test_rollback_monotone_in_threshold(values, alpha_lo, bump):
-    dists = big_dists(values)
-    tokens = [0] * len(values)
-    lo = find_rollback_position(tokens, dists, cfg(alpha_rb=alpha_lo))
-    hi = find_rollback_position(tokens, dists, cfg(alpha_rb=alpha_lo + bump))
+    distances = big_distances(values)
+    lo = find_rollback_position(distances, cfg(alpha_rb=alpha_lo))
+    hi = find_rollback_position(distances, cfg(alpha_rb=alpha_lo + bump))
     if hi is not None:
         assert lo is not None and lo <= hi  # raising alpha never moves it earlier
+
+
+def fallback_over_distribution(small_dist, config):
+    """The fallback rule as it was written over the distribution."""
+    return small_dist.max_prob() < config.alpha_fb
+
+
+def rollback_over_distributions(pending_tokens, large_dists, config):
+    """The rollback search as it was written over tokens and distributions."""
+    if len(pending_tokens) != len(large_dists):
+        raise InvalidInputError("pending tokens and distributions must align")
+    for i, (token, d) in enumerate(zip(pending_tokens, large_dists)):
+        if distance(token, d) > config.alpha_rb:
+            return i
+    return None
+
+
+WEIGHTS = st.sampled_from([0.0, 1e-13, 1e-9, 0.3, 1.0, 7.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def distributions(draw, size):
+    """Normalized vectors with zeros, near-certain and tied entries among them."""
+    weights = np.array(draw(st.lists(WEIGHTS, min_size=size, max_size=size)))
+    if weights.sum() == 0:
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    return ProbDist(weights / weights.sum())
+
+
+@st.composite
+def verify_windows(draw):
+    size = draw(st.integers(2, 6))
+    k = draw(st.integers(0, 6))
+    tokens = draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k))
+    dists = [draw(distributions(size)) for _ in range(k)]
+    return draw(distributions(size)), tokens, dists
+
+
+@given(
+    window=verify_windows(),
+    alpha_fb=st.sampled_from([0.0, 0.5, 1.0, 1.01]) | st.floats(0.0, 1.01),
+    alpha_rb=st.sampled_from([0.0, 2.0, MAX_DISTANCE]) | st.floats(0.0, MAX_DISTANCE),
+)
+def test_scalar_rules_decide_as_the_distribution_rules(window, alpha_fb, alpha_rb):
+    small_dist, tokens, dists = window
+    config = cfg(alpha_fb=alpha_fb, alpha_rb=alpha_rb)
+    assert should_fallback(small_dist.max_prob(), config) == fallback_over_distribution(small_dist, config)
+    distances = [distance(t, d) for t, d in zip(tokens, dists)]
+    assert find_rollback_position(distances, config) == rollback_over_distributions(tokens, dists, config)
 
 
 # config plumbing
@@ -192,14 +227,14 @@ def test_ablations_are_threshold_settings():
 def test_fixed_window_never_falls_back():
     config = cfg(alpha_fb=1.01).with_fixed_window(2)
     for d in (dist(0.5, 0.5), dist(1e-300, 1.0 - 1e-300), dist(1.0, 0.0)):
-        assert should_fallback(d, config) is False
+        assert should_fallback(d.max_prob(), config) is False
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
 def test_without_rollback_never_rolls_back(probs):
-    dists = [dist(p, 1.0 - p) for p in probs]  # includes p = 0, below PROB_FLOOR
+    distances = [distance(0, dist(p, 1.0 - p)) for p in probs]  # includes p = 0, below PROB_FLOOR
     config = cfg(alpha_rb=0.0).without_rollback()
-    assert find_rollback_position([0] * len(probs), dists, config) is None
+    assert find_rollback_position(distances, config) is None
 
 
 @pytest.mark.parametrize(
